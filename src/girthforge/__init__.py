@@ -3,94 +3,6 @@ mechanical checks of their short-even-cycle freeness, and exploration of
 quadrilateral-free families of general lines in dimension 4."""
 
 from girthforge.errors import SizeLimitError
-from girthforge.gf import Field, make_field
-from girthforge.graph import (
-    BiGraph,
-    GraphStats,
-    build,
-    export,
-    from_edges,
-    id_line,
-    id_point,
-    line_id,
-    parse,
-    point_id,
-    stats,
-)
-from girthforge.lines4 import (
-    GenLine,
-    LineC4Witness,
-    SAME_LINE,
-    all_genlines,
-    canonical_genline,
-    greedy_c4free,
-    has_line_c4,
-    intersect,
-    moment_seed,
-)
-from girthforge.moment import (
-    MomentLine,
-    Point,
-    enumerate_lines,
-    line_through,
-    moment_vector,
-    parallel,
-    points_on,
-    vandermonde_rank,
-)
-from girthforge.oracle import naive_cycle_count, naive_l4_paths, vandermonde_det_formula
-from girthforge.verify import (
-    ClaimResult,
-    VerifyReport,
-    construction_report,
-    count_cycles,
-    find_c4,
-    girth,
-    max_l4_paths,
-    verify_construction,
-)
+from girthforge.gf import make_field
 
-__all__ = [
-    "BiGraph",
-    "ClaimResult",
-    "Field",
-    "GenLine",
-    "GraphStats",
-    "LineC4Witness",
-    "MomentLine",
-    "Point",
-    "SAME_LINE",
-    "SizeLimitError",
-    "VerifyReport",
-    "all_genlines",
-    "build",
-    "canonical_genline",
-    "construction_report",
-    "count_cycles",
-    "enumerate_lines",
-    "export",
-    "find_c4",
-    "from_edges",
-    "girth",
-    "greedy_c4free",
-    "has_line_c4",
-    "id_line",
-    "id_point",
-    "intersect",
-    "line_id",
-    "line_through",
-    "make_field",
-    "max_l4_paths",
-    "moment_seed",
-    "moment_vector",
-    "naive_cycle_count",
-    "naive_l4_paths",
-    "parallel",
-    "parse",
-    "point_id",
-    "points_on",
-    "stats",
-    "vandermonde_det_formula",
-    "vandermonde_rank",
-    "verify_construction",
-]
+__all__ = ["SizeLimitError", "make_field"]

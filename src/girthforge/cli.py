@@ -9,9 +9,8 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass
 
-from girthforge.gf import Field, make_field
+from girthforge.gf import make_field
 from girthforge.graph import build, export, stats
 from girthforge.lines4 import (
     all_genlines,
@@ -21,18 +20,6 @@ from girthforge.lines4 import (
     write_family,
 )
 from girthforge.verify import max_l4_paths, verify_construction
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    command: str
-    p: int
-    m: int = 1
-    k: int | None = None
-    seed: int = 0
-    fast: bool = False
-    out: str | None = None
-    fmt: str = "v1"
 
 
 def poly_str(modulus: tuple[int, ...]) -> str:
@@ -49,27 +36,22 @@ def poly_str(modulus: tuple[int, ...]) -> str:
     return "+".join(terms) if terms else "0"
 
 
-def _field(cfg: RunConfig) -> Field:
-    return make_field(cfg.p, cfg.m)
-
-
-def _cmd_field_info(cfg: RunConfig) -> int:
-    f = _field(cfg)
+def _cmd_field_info(args: argparse.Namespace) -> int:
+    f = make_field(args.p, args.m)
     print(f"p={f.p} m={f.m} q={f.q} modulus={poly_str(f.modulus)}")
     return 0
 
 
-def _cmd_generate(cfg: RunConfig) -> int:
-    f = _field(cfg)
-    g = build(f, cfg.k)
-    with open(cfg.out, "w", encoding="utf-8", newline="\n") as fh:
-        export(g, fh, cfg.fmt)
-    print(f"wrote {cfg.out} nP={g.nP} nL={g.nL} e={g.edge_count()}")
+def _cmd_generate(args: argparse.Namespace) -> int:
+    g = build(make_field(args.p, args.m), args.k)
+    with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
+        export(g, fh, args.format)
+    print(f"wrote {args.out} nP={g.nP} nL={g.nL} e={g.edge_count()}")
     return 0
 
 
-def _cmd_stats(cfg: RunConfig) -> int:
-    s = stats(build(_field(cfg), cfg.k))
+def _cmd_stats(args: argparse.Namespace) -> int:
+    s = stats(build(make_field(args.p, args.m), args.k))
     reg = "true" if s.is_regular else "false"
     print(
         f"nP={s.nP} nL={s.nL} edges={s.edges} "
@@ -78,14 +60,14 @@ def _cmd_stats(cfg: RunConfig) -> int:
     return 0
 
 
-def _cmd_verify(cfg: RunConfig) -> int:
-    report = verify_construction(_field(cfg), cfg.k, fast=cfg.fast)
+def _cmd_verify(args: argparse.Namespace) -> int:
+    report = verify_construction(make_field(args.p, args.m), args.k)
     sys.stdout.write(report.render())
     return 0 if report.passed else 1
 
 
-def _cmd_theta(cfg: RunConfig) -> int:
-    count, pair, _ = max_l4_paths(build(_field(cfg), cfg.k))
+def _cmd_theta(args: argparse.Namespace) -> int:
+    count, pair, _ = max_l4_paths(build(make_field(args.p, args.m), args.k))
     where = f"{pair[0]},{pair[1]}" if pair else "none"
     print(f"max-l4-paths {count} pair={where}")
     ok = count <= 2
@@ -93,8 +75,8 @@ def _cmd_theta(cfg: RunConfig) -> int:
     return 0 if ok else 1
 
 
-def _cmd_conjecture_check(cfg: RunConfig) -> int:
-    f = _field(cfg)
+def _cmd_conjecture_check(args: argparse.Namespace) -> int:
+    f = make_field(args.p, args.m)
     witness = has_line_c4(f, moment_seed(f))
     if witness is None:
         print("line-c4 none")
@@ -109,32 +91,16 @@ def _cmd_conjecture_check(cfg: RunConfig) -> int:
     return 0
 
 
-def _cmd_conjecture_greedy(cfg: RunConfig) -> int:
-    f = _field(cfg)
-    family = greedy_c4free(f, cfg.seed)
+def _cmd_conjecture_greedy(args: argparse.Namespace) -> int:
+    f = make_field(args.p, args.m)
+    family = greedy_c4free(f, args.seed)
     total = len(all_genlines(f))
     print(f"greedy-family size={len(family)} total={total}")
-    if cfg.out:
-        with open(cfg.out, "w", encoding="utf-8", newline="\n") as fh:
+    if args.out:
+        with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
             write_family(f, family, fh)
-        print(f"wrote {cfg.out}")
+        print(f"wrote {args.out}")
     return 0
-
-
-_HANDLERS = {
-    "field-info": _cmd_field_info,
-    "generate": _cmd_generate,
-    "stats": _cmd_stats,
-    "verify": _cmd_verify,
-    "theta": _cmd_theta,
-    "export": _cmd_generate,
-    "conjecture-check": _cmd_conjecture_check,
-    "conjecture-greedy": _cmd_conjecture_greedy,
-}
-
-
-def run(cfg: RunConfig) -> int:
-    return _HANDLERS[cfg.command](cfg)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -145,52 +111,45 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(sp, with_k: bool):
+    def command(name: str, handler, summary: str, with_k: bool):
+        sp = sub.add_parser(name, help=summary)
         sp.add_argument("--p", type=int, required=True, help="field characteristic")
         sp.add_argument("--m", type=int, default=1, help="field extension degree")
         if with_k:
             sp.add_argument("--k", type=int, required=True, help="ambient dimension")
-        sp.add_argument("--seed", type=int, default=0, help="pseudorandom seed")
+        sp.set_defaults(handler=handler)
+        return sp
 
-    common(sub.add_parser("field-info", help="show the field and its modulus"), False)
-    for name in ("generate", "export"):
-        sp = sub.add_parser(name, help="build the incidence graph and write it")
-        common(sp, True)
-        sp.add_argument("--out", required=True, help="output path")
-        sp.add_argument("--format", choices=("v1", "bare"), default="v1")
-    common(sub.add_parser("stats", help="vertex, edge and degree counts"), True)
-    sp = sub.add_parser("verify", help="check the structural claims")
-    common(sp, True)
-    sp.add_argument("--fast", action="store_true", help="stop at first witness")
-    common(sub.add_parser("theta", help="max length-4 paths between P vertices"), True)
-    common(
-        sub.add_parser(
-            "conjecture-check", help="look for a C4 of lines in the moment family"
-        ),
+    command("field-info", _cmd_field_info, "show the field and its modulus", False)
+    sp = command(
+        "generate", _cmd_generate, "build the incidence graph and write it", True
+    )
+    sp.add_argument("--out", required=True, help="output path")
+    sp.add_argument("--format", choices=("v1", "bare"), default="v1")
+    command("stats", _cmd_stats, "vertex, edge and degree counts", True)
+    command("verify", _cmd_verify, "check the structural claims", True)
+    command("theta", _cmd_theta, "max length-4 paths between P vertices", True)
+    command(
+        "conjecture-check",
+        _cmd_conjecture_check,
+        "look for a C4 of lines in the moment family",
         False,
     )
-    sp = sub.add_parser(
-        "conjecture-greedy", help="grow a maximal C4-of-lines-free family"
+    sp = command(
+        "conjecture-greedy",
+        _cmd_conjecture_greedy,
+        "grow a maximal C4-of-lines-free family",
+        False,
     )
-    common(sp, False)
+    sp.add_argument("--seed", type=int, default=0, help="pseudorandom seed")
     sp.add_argument("--out", help="family file path")
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
-    cfg = RunConfig(
-        command=args.command,
-        p=args.p,
-        m=args.m,
-        k=getattr(args, "k", None),
-        seed=args.seed,
-        fast=getattr(args, "fast", False),
-        out=getattr(args, "out", None),
-        fmt=getattr(args, "format", "v1"),
-    )
     try:
-        return run(cfg)
+        return args.handler(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -21,9 +21,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import IO, Iterable, Iterator
 
-from girthforge.errors import SizeLimitError
 from girthforge.gf import Field
-from girthforge.moment import MomentLine, Point, enumerate_lines, points_on
+from girthforge.moment import (
+    MomentLine,
+    Point,
+    base_q_digits,
+    enumerate_lines,
+    points_on,
+)
 
 FORMAT_V1 = "girthforge-v1"
 
@@ -73,44 +78,28 @@ def point_id(field: Field, pt: Point) -> int:
 
 
 def id_point(field: Field, k: int, pid: int) -> Point:
-    q = field.q
-    digits = []
-    for _ in range(k):
-        digits.append(pid % q)
-        pid //= q
-    return tuple(digits)
+    return base_q_digits(pid, field.q, k)
 
 
 def line_id(field: Field, line: MomentLine) -> int:
     """Local L id in [0, q^k); the global vertex id adds nP = q^k."""
     if line.base[0] != 0:
         raise ValueError(f"non-canonical line base {line.base}")
-    q = field.q
-    v = 0
-    for c in reversed(line.base[1:]):
-        v = v * q + c
-    return line.z * q ** (len(line.base) - 1) + v
+    return line.z * field.q ** (len(line.base) - 1) + point_id(field, line.base[1:])
 
 
 def id_line(field: Field, k: int, lid: int) -> MomentLine:
-    q = field.q
-    z, rest = divmod(lid, q ** (k - 1))
-    digits = []
-    for _ in range(k - 1):
-        digits.append(rest % q)
-        rest //= q
-    return MomentLine(z, (0, *digits))
+    z, rest = divmod(lid, field.q ** (k - 1))
+    return MomentLine(z, (0, *id_point(field, k - 1, rest)))
 
 
 def build(field: Field, k: int) -> BiGraph:
     """Assemble the incidence graph between GF(q)^k and its moment lines."""
-    q = field.q
-    n = q**k
-    if n > 1 << 22:
-        raise SizeLimitError(f"q^k = {n} exceeds build cap {1 << 22}")
+    lines = enumerate_lines(field, k)
+    n = len(lines)
     adj_p: list[list[int]] = [[] for _ in range(n)]
     adj_l: list[tuple[int, ...]] = []
-    for lid, line in enumerate(enumerate_lines(field, k)):
+    for lid, line in enumerate(lines):
         pids = sorted(point_id(field, pt) for pt in points_on(field, line))
         adj_l.append(tuple(pids))
         for pid in pids:
@@ -203,25 +192,55 @@ def export(g: BiGraph, sink: IO[str], fmt: str = "v1") -> None:
     sink.write(to_text(g, fmt))
 
 
-def parse(text: str) -> BiGraph:
-    """Re-import a v1 export; the result round-trips through to_text."""
+def read_headed_text(
+    text: str, magic: str, keys: tuple[str, ...], count_key: str
+) -> tuple[dict[str, int], list[str]]:
+    """Split a text file into its header values and its non-empty body lines.
+
+    The first line is the magic word followed by one ``key=int`` token
+    for each of keys, in any order; the body must hold as many lines as
+    the header's count_key promises.
+    """
     lines = text.splitlines()
     if not lines:
         raise ValueError("empty input")
     head = lines[0].split()
-    if not head or head[0] != FORMAT_V1:
-        raise ValueError(f"not a {FORMAT_V1} file")
-    kv = {}
+    if not head or head[0] != magic:
+        raise ValueError(f"not a {magic} file")
+    kv: dict[str, int] = {}
     for part in head[1:]:
         key, _, val = part.partition("=")
+        if key not in keys:
+            raise ValueError(f"unknown header field {part!r}")
+        if key in kv:
+            raise ValueError(f"repeated header key {key!r}")
+        if not val:
+            raise ValueError(f"header key {key!r} has no value")
         kv[key] = int(val)
-    nP, nL, e = kv["nP"], kv["nL"], kv["e"]
+    missing = [key for key in keys if key not in kv]
+    if missing:
+        raise ValueError(f"header lacks {', '.join(missing)}")
+    body = [ln for ln in lines[1:] if ln]
+    if len(body) != kv[count_key]:
+        raise ValueError(
+            f"header says {count_key}={kv[count_key]}, body has {len(body)} lines"
+        )
+    return kv, body
+
+
+def parse(text: str) -> BiGraph:
+    """Re-import a v1 export; the result round-trips through to_text."""
+    kv, body = read_headed_text(
+        text, FORMAT_V1, ("p", "m", "k", "nP", "nL", "e"), "e"
+    )
+    p, m, k, nP, nL = kv["p"], kv["m"], kv["k"], kv["nP"], kv["nL"]
+    if not nP == nL == (p**m) ** k:
+        raise ValueError(f"nP={nP} nL={nL} do not match (p^m)^k for p={p} m={m} k={k}")
     pairs = []
-    for ln in lines[1:]:
-        if not ln:
-            continue
+    for ln in body:
         ps, ls = ln.split()
-        pairs.append((int(ps), int(ls) - nP))
-    if len(pairs) != e:
-        raise ValueError(f"header promises {e} edges, found {len(pairs)}")
-    return from_edges(nP, nL, pairs, meta=(kv["p"], kv["m"], kv["k"]))
+        pair = (int(ps), int(ls) - nP)
+        if pairs and pair <= pairs[-1]:
+            raise ValueError(f"edge {ln!r} is not strictly after the edge before it")
+        pairs.append(pair)
+    return from_edges(nP, nL, pairs, meta=(p, m, k))

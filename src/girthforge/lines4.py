@@ -19,9 +19,9 @@ import random
 from typing import IO, Iterable, NamedTuple
 
 from girthforge.errors import SizeLimitError
-from girthforge.gf import Field
-from girthforge.graph import from_edges
-from girthforge.moment import Point, moment_vector
+from girthforge.gf import Field, make_field
+from girthforge.graph import from_edges, read_headed_text
+from girthforge.moment import Point, base_q_digits, enumerate_lines, moment_vector
 from girthforge.verify import iter_cycles
 
 DIM = 4
@@ -132,39 +132,21 @@ def all_genlines(field: Field) -> list[GenLine]:
     direction per projective point and q^3 bases per direction.
     """
     q = field.q
+    bases = [base_q_digits(bcode, q, DIM - 1) for bcode in range(q ** (DIM - 1))]
     lines = []
     for piv in range(DIM):
         free = DIM - piv - 1
         for dcode in range(q**free):
-            rest, digits = dcode, []
-            for _ in range(free):
-                digits.append(rest % q)
-                rest //= q
-            direction = (0,) * piv + (1, *digits)
-            for bcode in range(q**3):
-                rest, bdig = bcode, []
-                for _ in range(3):
-                    bdig.append(rest % q)
-                    rest //= q
-                base = tuple(bdig[:piv]) + (0,) + tuple(bdig[piv:])
-                lines.append(GenLine(direction, base))
+            direction = (0,) * piv + (1, *base_q_digits(dcode, q, free))
+            lines += [GenLine(direction, b[:piv] + (0,) + b[piv:]) for b in bases]
     lines.sort()
     return lines
 
 
 def moment_seed(field: Field) -> list[GenLine]:
     """The q^4 moment-curve lines of GF(q)^4 re-expressed as GenLines."""
-    q = field.q
-    seed = []
-    for z in range(q):
-        direction = moment_vector(field, z, DIM)
-        for bcode in range(q**3):
-            rest, digits = bcode, []
-            for _ in range(3):
-                digits.append(rest % q)
-                rest //= q
-            seed.append(GenLine(direction, (0, *digits)))
-    return seed
+    dirs = [moment_vector(field, z, DIM) for z in field.elements()]
+    return [GenLine(dirs[line.z], line.base) for line in enumerate_lines(field, DIM)]
 
 
 def validate_line_c4(field: Field, w: LineC4Witness) -> LineC4Witness:
@@ -295,25 +277,18 @@ def write_family(field: Field, family: Iterable[GenLine], sink: IO[str]) -> None
 
 
 def parse_family(text: str) -> tuple[int, int, list[GenLine]]:
-    """Read a family file back as (p, m, lines)."""
-    lines = text.splitlines()
-    if not lines:
-        raise ValueError("empty input")
-    head = lines[0].split()
-    if not head or head[0] != FAMILY_FORMAT:
-        raise ValueError(f"not a {FAMILY_FORMAT} file")
-    kv = {}
-    for part in head[1:]:
-        key, _, val = part.partition("=")
-        kv[key] = int(val)
+    """Read a family file back as (p, m, lines); every line must be canonical."""
+    kv, body = read_headed_text(text, FAMILY_FORMAT, ("p", "m", "n"), "n")
+    field = make_field(kv["p"], kv["m"])
     fam = []
-    for ln in lines[1:]:
-        if not ln:
-            continue
+    for ln in body:
         dpart, bpart = ln.split()
         direction = tuple(int(v) for v in dpart.removeprefix("dir=").split(","))
         base = tuple(int(v) for v in bpart.removeprefix("base=").split(","))
-        fam.append(GenLine(direction, base))
-    if len(fam) != kv["n"]:
-        raise ValueError(f"header promises {kv['n']} lines, found {len(fam)}")
-    return kv["p"], kv["m"], fam
+        if not all(0 <= c < field.q for c in direction + base):
+            raise ValueError(f"line {ln!r} has a coordinate outside GF({field.q})")
+        line = GenLine(direction, base)
+        if canonical_genline(field, base, direction) != line:
+            raise ValueError(f"line {ln!r} is not in canonical form")
+        fam.append(line)
+    return field.p, field.m, fam

@@ -28,6 +28,15 @@ class MomentLine(NamedTuple):
     base: Point
 
 
+def base_q_digits(v: int, q: int, n: int) -> Point:
+    """The n base-q digits of v, least significant first."""
+    digits = []
+    for _ in range(n):
+        v, d = divmod(v, q)
+        digits.append(d)
+    return tuple(digits)
+
+
 def _check_k(k: int) -> None:
     if not K_MIN <= k <= K_MAX:
         raise ValueError(f"ambient dimension k must be in [{K_MIN}, {K_MAX}], got {k}")
@@ -103,13 +112,8 @@ def enumerate_lines(field: Field, k: int) -> list[MomentLine]:
     q = field.q
     if q**k > LINE_CAP:
         raise SizeLimitError(f"q^k = {q**k} exceeds line cap {LINE_CAP}")
-    lines = []
-    for z in range(q):
-        for b in range(q ** (k - 1)):
-            digits = []
-            rest = b
-            for _ in range(k - 1):
-                digits.append(rest % q)
-                rest //= q
-            lines.append(MomentLine(z, (0, *digits)))
-    return lines
+    return [
+        MomentLine(z, (0, *base_q_digits(b, q, k - 1)))
+        for z in range(q)
+        for b in range(q ** (k - 1))
+    ]

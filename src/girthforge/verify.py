@@ -157,22 +157,14 @@ def iter_cycles(g: BiGraph, length: int) -> Iterator[CycleWitness]:
         on_path[root] = False
 
 
-def count_cycles(
-    g: BiGraph, length: int, stop_at_first: bool = False
-) -> tuple[int, CycleWitness | None]:
-    """Exact count of simple cycles of the given length plus a witness.
-
-    With stop_at_first the search aborts on the first hit and the count
-    is reported as 1; use it when only existence matters.
-    """
+def count_cycles(g: BiGraph, length: int) -> tuple[int, CycleWitness | None]:
+    """Exact count of simple cycles of the given length plus a witness."""
     count = 0
     first: CycleWitness | None = None
     for w in iter_cycles(g, length):
         count += 1
         if first is None:
             first = w
-        if stop_at_first:
-            break
     return count, first
 
 
@@ -238,12 +230,11 @@ def witness_directions(field: Field, g: BiGraph, w: CycleWitness) -> list[int]:
     return [id_line(field, k, v - g.nP).z for v in w if v >= g.nP]
 
 
-def construction_report(g: BiGraph, fast: bool = False) -> VerifyReport:
+def construction_report(g: BiGraph) -> VerifyReport:
     """Check the incidence graph against its structural claims.
 
     Claims: both sides have q^k vertices, q^(k+1) edges, q-regularity,
-    no C4, no C6 once k >= 3, no C10 once k >= 5. With fast=True the
-    cycle counts abort at the first hit instead of counting exactly.
+    no C4, no C6 once k >= 3, no C10 once k >= 5.
     """
     if g.meta is None:
         raise ValueError("construction_report needs a graph built with metadata")
@@ -279,7 +270,7 @@ def construction_report(g: BiGraph, fast: bool = False) -> VerifyReport:
 
     def make_cycle_check(length: int):
         def check():
-            cnt, w = count_cycles(g, length, stop_at_first=fast)
+            cnt, w = count_cycles(g, length)
             return cnt == 0, w, "" if cnt == 0 else f"{cnt} cycles of length {length}"
 
         return check
@@ -295,6 +286,6 @@ def construction_report(g: BiGraph, fast: bool = False) -> VerifyReport:
     return VerifyReport(tuple(claims))
 
 
-def verify_construction(field: Field, k: int, fast: bool = False) -> VerifyReport:
+def verify_construction(field: Field, k: int) -> VerifyReport:
     """Build the incidence graph for (field, k) and report on its claims."""
-    return construction_report(build(field, k), fast=fast)
+    return construction_report(build(field, k))

@@ -2,10 +2,21 @@
 
 from __future__ import annotations
 
+import os
 import random
+from pathlib import Path
 
+import girthforge
 from girthforge.graph import BiGraph, from_edges
 from girthforge.lines4 import SAME_LINE, GenLine, canonical_genline, intersect
+
+# Environment for a `python -m girthforge` child process: it imports the
+# same girthforge as the tests, whether or not the package is installed.
+_SRC = str(Path(girthforge.__file__).resolve().parent.parent)
+CLI_ENV = {
+    **os.environ,
+    "PYTHONPATH": os.pathsep.join(filter(None, (_SRC, os.environ.get("PYTHONPATH")))),
+}
 
 
 def k22() -> BiGraph:

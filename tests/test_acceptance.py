@@ -23,7 +23,7 @@ from girthforge.verify import (
     max_l4_paths,
     witness_directions,
 )
-from helpers import brute_force_line_c4, random_bipartite, random_genline
+from helpers import CLI_ENV, brute_force_line_c4, random_bipartite, random_genline
 from test_lines4 import GREEDY_F2_SEED0_SIZE
 
 # q ranges are prime powers only; 6 is not a field order.
@@ -184,9 +184,9 @@ def test_line_c4_detector_and_greedy():
 
 def test_report_determinism():
     args = [sys.executable, "-m", "girthforge", "verify",
-            "--p", "3", "--m", "1", "--k", "5", "--seed", "0"]
-    a = subprocess.run(args, capture_output=True, timeout=600)
-    b = subprocess.run(args, capture_output=True, timeout=600)
+            "--p", "3", "--m", "1", "--k", "5"]
+    a = subprocess.run(args, capture_output=True, timeout=600, env=CLI_ENV)
+    b = subprocess.run(args, capture_output=True, timeout=600, env=CLI_ENV)
     assert a.returncode == b.returncode == 0
     assert a.stdout == b.stdout
     assert b"c10-free PASS" in a.stdout

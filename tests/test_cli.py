@@ -1,17 +1,21 @@
+import re
 import subprocess
 import sys
 
-from girthforge.cli import RunConfig, main, poly_str, run
+import pytest
+
+from girthforge.cli import main, poly_str
 from girthforge.graph import parse
 from girthforge.lines4 import parse_family
 from girthforge.verify import ClaimResult, VerifyReport
+from helpers import CLI_ENV
 
 BASE = [sys.executable, "-m", "girthforge"]
 
 
 def invoke(*args):
     return subprocess.run(
-        [*BASE, *args], capture_output=True, text=True, timeout=300
+        [*BASE, *args], capture_output=True, text=True, timeout=300, env=CLI_ENV
     )
 
 
@@ -50,7 +54,7 @@ def test_generate_writes_expected_header(tmp_path):
 def test_export_bare(tmp_path):
     out = tmp_path / "bare.txt"
     r = invoke(
-        "export", "--p", "2", "--m", "1", "--k", "2",
+        "generate", "--p", "2", "--m", "1", "--k", "2",
         "--out", str(out), "--format", "bare",
     )
     assert r.returncode == 0
@@ -79,7 +83,7 @@ def test_usage_errors_exit_2():
 
 
 def test_verify_deterministic_bytes():
-    args = ("verify", "--p", "3", "--m", "1", "--k", "3", "--seed", "0")
+    args = ("verify", "--p", "3", "--m", "1", "--k", "3")
     a, b = invoke(*args), invoke(*args)
     assert a.returncode == b.returncode == 0
     assert a.stdout == b.stdout
@@ -102,15 +106,15 @@ def test_conjecture_check():
     assert r.stdout.startswith(("line-c4 none", "line-c4 found"))
 
 
-def test_claim_failure_exits_1(monkeypatch):
+def test_claim_failure_exits_1(monkeypatch, capsys):
     import girthforge.cli as cli
 
     failing = VerifyReport(
         (ClaimResult("edges", False, 0.0, None, "expected 27 edges, got 28"),)
     )
     monkeypatch.setattr(cli, "verify_construction", lambda *a, **kw: failing)
-    cfg = RunConfig(command="verify", p=3, k=2)
-    assert run(cfg) == 1
+    assert main(["verify", "--p", "3", "--k", "2"]) == 1
+    assert capsys.readouterr().out == "edges FAIL -\n"
 
 
 def test_main_in_process_round_trip(tmp_path, capsys):
@@ -125,3 +129,25 @@ def test_main_io_error_exit_2(capsys):
     rc = main(["generate", "--p", "2", "--m", "1", "--k", "2", "--out", "/nonexistent-dir/x.txt"])
     assert rc == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_cli_surface(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    commands = re.search(r"\{([a-z,-]+)\}", capsys.readouterr().out).group(1)
+    assert commands.split(",") == [
+        "field-info", "generate", "stats", "verify", "theta",
+        "conjecture-check", "conjecture-greedy",
+    ]
+    for argv in (
+        ["export", "--p", "2", "--k", "2", "--out", str(tmp_path / "x.txt")],
+        ["verify", "--p", "3", "--k", "3", "--fast"],
+        ["verify", "--p", "3", "--k", "3", "--seed", "0"],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+    capsys.readouterr()
+    assert main(["conjecture-greedy", "--p", "2", "--seed", "3"]) == 0
+    assert capsys.readouterr().out.startswith("greedy-family size=")

@@ -3,6 +3,7 @@ import itertools
 
 import pytest
 
+from girthforge.errors import SizeLimitError
 from girthforge.gf import make_field
 from girthforge.graph import (
     build,
@@ -144,6 +145,44 @@ def test_parse_rejects_garbage():
     bad = D22_TEXT.replace("e=8", "e=9")
     with pytest.raises(ValueError):
         parse(bad)
+
+
+@pytest.mark.parametrize(
+    "head",
+    [
+        "girthforge-v1 p=2 m=1 k=2 nL=4 e=8",
+        "girthforge-v1 p=2 m=1 k=2 nP=4 nL=4",
+        "girthforge-v1 p=2 m=1 k=2 nP=4 nP=4 nL=4 e=8",
+        "girthforge-v1 p=2 m=1 k=2 nP= nL=4 e=8",
+        "girthforge-v1 p=2 m=1 k=2 nP=4 nL=4 e=8 x=1",
+    ],
+    ids=["missing-nP", "missing-e", "repeated-key", "empty-value", "unknown-key"],
+)
+def test_parse_rejects_bad_header(head):
+    body = D22_TEXT.split("\n", 1)[1]
+    with pytest.raises(ValueError):
+        parse(head + "\n" + body)
+
+
+def test_parse_rejects_edges_out_of_order():
+    dup = D22_TEXT.replace("e=8", "e=2").splitlines()[0] + "\n0 6\n0 6\n"
+    with pytest.raises(ValueError):
+        parse(dup)
+    swapped = D22_TEXT.replace("0 4\n0 6\n", "0 6\n0 4\n")
+    with pytest.raises(ValueError):
+        parse(swapped)
+
+
+def test_parse_rejects_sizes_off_the_field():
+    with pytest.raises(ValueError):
+        parse(D22_TEXT.replace("k=2", "k=9"))
+    with pytest.raises(ValueError):
+        parse(D22_TEXT.replace("nL=4", "nL=5"))
+
+
+def test_build_size_cap():
+    with pytest.raises(SizeLimitError):
+        build(make_field(2, 12), 2)
 
 
 def test_from_edges_validation():

@@ -228,3 +228,31 @@ def test_family_file_round_trip():
     assert back == fam
     with pytest.raises(ValueError):
         parse_family("not-a-family p=2 m=1 n=0\n")
+
+
+@pytest.mark.parametrize(
+    "head",
+    [
+        "girthforge-lines4 p=2 m=1",
+        "girthforge-lines4 p=2 m=1 n=1 n=1",
+        "girthforge-lines4 p=2 m= n=1",
+    ],
+    ids=["missing-n", "repeated-key", "empty-value"],
+)
+def test_parse_family_rejects_bad_header(head):
+    with pytest.raises(ValueError):
+        parse_family(head + "\ndir=1,0,0,0 base=0,0,0,0\n")
+
+
+@pytest.mark.parametrize(
+    "line",
+    [
+        "dir=0,0,0,0 base=0,0,0,0",
+        "dir=1,5,0,0 base=0,9,0,0",
+        "dir=1,0,0,0 base=1,0,0,0",
+    ],
+    ids=["zero-direction", "outside-field", "non-canonical"],
+)
+def test_parse_family_rejects_bad_line(line):
+    with pytest.raises(ValueError):
+        parse_family(f"girthforge-lines4 p=2 m=1 n=1\n{line}\n")
