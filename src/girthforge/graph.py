@@ -21,11 +21,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import IO, Iterable, Iterator
 
-from girthforge.gf import Field
+from girthforge.gf import Field, make_field
 from girthforge.moment import (
     MomentLine,
     Point,
     base_q_digits,
+    check_k,
     enumerate_lines,
     points_on,
 )
@@ -234,12 +235,21 @@ def parse(text: str) -> BiGraph:
         text, FORMAT_V1, ("p", "m", "k", "nP", "nL", "e"), "e"
     )
     p, m, k, nP, nL = kv["p"], kv["m"], kv["k"], kv["nP"], kv["nL"]
-    if not nP == nL == (p**m) ** k:
+    q = make_field(p, m).q
+    check_k(k)
+    if not nP == nL == q**k:
         raise ValueError(f"nP={nP} nL={nL} do not match (p^m)^k for p={p} m={m} k={k}")
+    end = nP + nL
     pairs = []
     for ln in body:
         ps, ls = ln.split()
-        pair = (int(ps), int(ls) - nP)
+        pid, lid = int(ps), int(ls)
+        if not 0 <= pid < nP <= lid < end:
+            bad = ps if not 0 <= pid < nP else ls
+            raise ValueError(
+                f"edge {ln!r}: id {bad} out of range (P ids 0..{nP - 1}, L ids {nP}..{end - 1})"
+            )
+        pair = (pid, lid - nP)
         if pairs and pair <= pairs[-1]:
             raise ValueError(f"edge {ln!r} is not strictly after the edge before it")
         pairs.append(pair)

@@ -143,8 +143,17 @@ def all_genlines(field: Field) -> list[GenLine]:
     return lines
 
 
+def _check_family_size(n: int) -> None:
+    if n > FAMILY_CAP:
+        raise SizeLimitError(f"family of {n} exceeds cap {FAMILY_CAP}")
+
+
 def moment_seed(field: Field) -> list[GenLine]:
-    """The q^4 moment-curve lines of GF(q)^4 re-expressed as GenLines."""
+    """The q^4 moment-curve lines of GF(q)^4 re-expressed as GenLines.
+
+    A seed that has_line_c4 would refuse is refused before it is built.
+    """
+    _check_family_size(field.q**DIM)
     dirs = [moment_vector(field, z, DIM) for z in field.elements()]
     return [GenLine(dirs[line.z], line.base) for line in enumerate_lines(field, DIM)]
 
@@ -169,8 +178,7 @@ def has_line_c4(field: Field, family: Iterable[GenLine]) -> LineC4Witness | None
     there.
     """
     fam = sorted(set(family))
-    if len(fam) > FAMILY_CAP:
-        raise SizeLimitError(f"family of {len(fam)} exceeds cap {FAMILY_CAP}")
+    _check_family_size(len(fam))
     hits: dict[Point, set[int]] = {}
     for i in range(len(fam)):
         for j in range(i + 1, len(fam)):

@@ -37,14 +37,14 @@ def base_q_digits(v: int, q: int, n: int) -> Point:
     return tuple(digits)
 
 
-def _check_k(k: int) -> None:
+def check_k(k: int) -> None:
     if not K_MIN <= k <= K_MAX:
         raise ValueError(f"ambient dimension k must be in [{K_MIN}, {K_MAX}], got {k}")
 
 
 def moment_vector(field: Field, z: int, k: int) -> Point:
     """Direction vector (1, z, z^2, ..., z^(k-1)) in GF(q)^k."""
-    _check_k(k)
+    check_k(k)
     v = [1]
     cur = 1
     for _ in range(k - 1):
@@ -80,7 +80,7 @@ def vandermonde_rank(field: Field, zs: tuple[int, ...], k: int) -> int:
     Gaussian elimination with first-nonzero pivoting. Distinct zs are
     required; a repeat is rejected rather than silently dropping rank.
     """
-    _check_k(k)
+    check_k(k)
     zs = tuple(zs)
     if len(set(zs)) != len(zs):
         raise ValueError(f"direction parameters must be distinct, got {zs}")
@@ -108,7 +108,7 @@ def vandermonde_rank(field: Field, zs: tuple[int, ...], k: int) -> int:
 
 def enumerate_lines(field: Field, k: int) -> list[MomentLine]:
     """All q^k canonical lines, ordered by (z, base-q encoding of base)."""
-    _check_k(k)
+    check_k(k)
     q = field.q
     if q**k > LINE_CAP:
         raise SizeLimitError(f"q^k = {q**k} exceeds line cap {LINE_CAP}")

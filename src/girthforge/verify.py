@@ -7,6 +7,11 @@ visits only IDs greater than the root, and of the two traversal
 directions the one whose second vertex is smaller than its last is
 kept. With sorted adjacency the first cycle found is therefore the
 lexicographically smallest witness.
+
+When the translations of GF(q)^k map a graph onto itself (checked on
+the graph, not assumed from its metadata), cycle counts and the
+length-4 path maximum are taken from P vertex 0 alone; otherwise every
+vertex is searched.
 """
 
 from __future__ import annotations
@@ -18,8 +23,8 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from girthforge.errors import SizeLimitError
-from girthforge.gf import Field
-from girthforge.graph import BiGraph, build, id_line
+from girthforge.gf import Field, make_field
+from girthforge.graph import BiGraph, build, id_line, id_point, point_id
 
 CycleWitness = tuple[int, ...]
 
@@ -119,10 +124,7 @@ def girth(g: BiGraph) -> int | float:
     return best
 
 
-def iter_cycles(g: BiGraph, length: int) -> Iterator[CycleWitness]:
-    """Canonically enumerate every simple cycle of exactly this length."""
-    if length % 2:
-        return
+def _check_cycle_length(g: BiGraph, length: int) -> None:
     if length < 4 or length > MAX_CYCLE_LEN:
         raise ValueError(f"cycle length must be even in [4, {MAX_CYCLE_LEN}]")
     n = g.nP + g.nL
@@ -130,10 +132,14 @@ def iter_cycles(g: BiGraph, length: int) -> Iterator[CycleWitness]:
         raise SizeLimitError(
             f"{n} vertices exceeds cap {BIG_CYCLE_VERTEX_CAP} for length >= 10"
         )
+
+
+def _cycles_from(g: BiGraph, length: int, roots: range) -> Iterator[CycleWitness]:
+    """Canonical cycles of an even, checked length whose minimum vertex is in roots."""
     adj = _unified_adj(g)
     nbr = [set(a) for a in adj]
     path = [0] * length
-    on_path = [False] * n
+    on_path = [False] * (g.nP + g.nL)
 
     def extend(v: int, depth: int) -> Iterator[CycleWitness]:
         root = path[0]
@@ -148,7 +154,7 @@ def iter_cycles(g: BiGraph, length: int) -> Iterator[CycleWitness]:
                 yield from extend(w, depth + 1)
                 on_path[w] = False
 
-    for root in range(n):
+    for root in roots:
         if len(adj[root]) < 2:
             continue
         path[0] = root
@@ -157,15 +163,74 @@ def iter_cycles(g: BiGraph, length: int) -> Iterator[CycleWitness]:
         on_path[root] = False
 
 
+def iter_cycles(g: BiGraph, length: int) -> Iterator[CycleWitness]:
+    """Canonically enumerate every simple cycle of exactly this length."""
+    if length % 2:
+        return
+    _check_cycle_length(g, length)
+    yield from _cycles_from(g, length, range(g.nP + g.nL))
+
+
+def _translation_invariant(g: BiGraph) -> bool:
+    """True if every translation x -> x + t of GF(q)^k permutes the L rows.
+
+    Then the translations are automorphisms that act regularly on P, so
+    P vertex 0 stands for every P vertex. They are generated by the
+    k*m vectors with the field element p^j in coordinate i, so only
+    those are tried. Rows are compared as a multiset: with a set, a
+    graph with repeated rows could pass without being mapped onto itself.
+    """
+    if g.meta is None:
+        return False
+    p, m, k = g.meta
+    try:
+        field = make_field(p, m)
+    except ValueError:
+        return False
+    if g.nP != field.q**k:
+        return False
+    points = [id_point(field, k, v) for v in range(g.nP)]
+    rows = Counter(g.adjL)
+    for i in range(k):
+        for j in range(m):
+            t = p**j
+            pi = [
+                point_id(field, x[:i] + (field.add(x[i], t),) + x[i + 1 :])
+                for x in points
+            ]
+            moved = Counter(tuple(sorted(pi[v] for v in row)) for row in g.adjL)
+            if moved != rows:
+                return False
+    return True
+
+
 def count_cycles(g: BiGraph, length: int) -> tuple[int, CycleWitness | None]:
-    """Exact count of simple cycles of the given length plus a witness."""
+    """Exact count of simple cycles of the given length plus a witness.
+
+    On a translation-invariant graph only the cycles through P vertex 0
+    are enumerated: each P vertex lies on the same number c0 of them
+    and each cycle has length/2 P vertices, so the total is
+    nP * c0 / (length/2). Vertex 0 has the smallest id, so the first of
+    them is also the first cycle of the full enumeration.
+    """
+    if length % 2:
+        return 0, None
+    _check_cycle_length(g, length)
+    rooted = _translation_invariant(g)
     count = 0
     first: CycleWitness | None = None
-    for w in iter_cycles(g, length):
+    for w in _cycles_from(g, length, range(1 if rooted else g.nP + g.nL)):
         count += 1
         if first is None:
             first = w
-    return count, first
+    if not rooted:
+        return count, first
+    total, rem = divmod(g.nP * count, length // 2)
+    if rem:
+        raise RuntimeError(
+            f"{g.nP} * {count} cycles through P vertex 0 is not a multiple of {length // 2}"
+        )
+    return total, first
 
 
 def l4_path_counts_from(g: BiGraph, p: int) -> Counter[int]:
@@ -209,7 +274,10 @@ def max_l4_paths(
     """
     best = 0
     arg: tuple[int, int] | None = None
-    for p in range(g.nP):
+    # Translations keep path counts, and the one by -p takes the pair
+    # (p, p') to a pair (0, p''). So on an invariant graph row 0 holds the
+    # maximum, and its first pair attaining it is the full scan's first.
+    for p in range(1 if _translation_invariant(g) else g.nP):
         counts = l4_path_counts_from(g, p)
         for p2 in range(p + 1, g.nP):
             v = counts.get(p2, 0)

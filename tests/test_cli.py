@@ -106,6 +106,17 @@ def test_conjecture_check():
     assert r.stdout.startswith(("line-c4 none", "line-c4 found"))
 
 
+def test_conjecture_check_refuses_a_big_seed_before_building_it(monkeypatch, capsys):
+    import girthforge.lines4 as lines4
+
+    def unreachable(*args):
+        raise AssertionError("the seed was built")
+
+    monkeypatch.setattr(lines4, "enumerate_lines", unreachable)
+    assert main(["conjecture-check", "--p", "17"]) == 2
+    assert capsys.readouterr().err == "error: family of 83521 exceeds cap 65536\n"
+
+
 def test_claim_failure_exits_1(monkeypatch, capsys):
     import girthforge.cli as cli
 

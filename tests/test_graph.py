@@ -180,6 +180,25 @@ def test_parse_rejects_sizes_off_the_field():
         parse(D22_TEXT.replace("nL=4", "nL=5"))
 
 
+@pytest.mark.parametrize(
+    "values",
+    ["p=4 m=1 k=1 nP=4 nL=4", "p=2 m=0 k=2 nP=1 nL=1", "p=2 m=2 k=1 nP=4 nL=4"],
+    ids=["p-not-prime", "m-below-1", "k-below-min"],
+)
+def test_parse_rejects_header_off_the_field(values):
+    with pytest.raises(ValueError):
+        parse(f"girthforge-v1 {values} e=0\n")
+
+
+def test_parse_reports_out_of_range_id_as_written():
+    with pytest.raises(ValueError, match=r"edge '0 99': id 99 out of range"):
+        parse(D22_TEXT.replace("0 6\n", "0 99\n"))
+    with pytest.raises(ValueError, match=r"edge '4 5': id 4 out of range"):
+        parse(D22_TEXT.replace("3 6\n", "4 5\n"))
+    with pytest.raises(ValueError, match=r"edge '3 2': id 2 out of range"):
+        parse(D22_TEXT.replace("3 6\n", "3 2\n"))
+
+
 def test_build_size_cap():
     with pytest.raises(SizeLimitError):
         build(make_field(2, 12), 2)

@@ -1,0 +1,91 @@
+"""Metamorphic checks: maps of GF(q)^k that must carry the moment graph
+onto itself.
+
+Each map is computed on point coordinates with field operations and
+checked line by line: the image of every line's point set must be the
+point set of a line of the graph, with the direction the algebra
+predicts. Translations keep the direction z, the dilation
+x_i -> lam^i * x_i sends z to lam * z, and Frobenius x_i -> x_i^p sends
+z to z^p. This is the symmetry that rooted cycle counts and the rooted
+length-4 path maximum rely on, checked without the code that relies on it.
+"""
+
+from functools import lru_cache
+
+import pytest
+
+from girthforge.gf import make_field
+from girthforge.graph import build, id_line, id_point, point_id
+
+FIELDS = {3: (3, 1), 4: (2, 2), 5: (5, 1), 8: (2, 3)}
+CASES = [(q, k) for q in FIELDS for k in (2, 3, 4)]
+
+
+@lru_cache(maxsize=None)
+def _graph(q, k):
+    return build(make_field(*FIELDS[q]), k)
+
+
+def _primitive(field):
+    """A generator of the multiplicative group, so one dilation stands for all."""
+    for lam in field.elements():
+        powers = {field.pow(lam, e) for e in range(1, field.q)}
+        if len(powers) == field.q - 1 and 0 not in powers:
+            return lam
+    raise AssertionError(f"{field} has no primitive element")
+
+
+def _line_images(field, k, g, phi):
+    """The line each line is mapped onto by the point map phi."""
+    pids = [point_id(field, phi(id_point(field, k, v))) for v in range(g.nP)]
+    assert sorted(pids) == list(range(g.nP)), "not a bijection of the points"
+    line_of = {row: lid for lid, row in enumerate(g.adjL)}
+    assert len(line_of) == g.nL
+    images = []
+    for row in g.adjL:
+        image = tuple(sorted(pids[v] for v in row))
+        assert image in line_of, f"{row} maps onto {image}, which is no line"
+        images.append(line_of[image])
+    assert sorted(images) == list(range(g.nL))
+    return images
+
+
+def _check_directions(field, k, images, expect):
+    for lid, image in enumerate(images):
+        z = id_line(field, k, lid).z
+        assert id_line(field, k, image).z == expect(z), (lid, image)
+
+
+@pytest.mark.parametrize("q,k", CASES)
+def test_translations_are_automorphisms(q, k):
+    field, g = make_field(*FIELDS[q]), _graph(q, k)
+    for t in ((1,) + (0,) * (k - 1), tuple((i + 1) % q for i in range(k)), (q - 1,) * k):
+        images = _line_images(
+            field, k, g, lambda x: tuple(field.add(a, b) for a, b in zip(x, t))
+        )
+        _check_directions(field, k, images, lambda z: z)
+
+
+@pytest.mark.parametrize("q,k", CASES)
+def test_dilation_is_an_automorphism(q, k):
+    field, g = make_field(*FIELDS[q]), _graph(q, k)
+    lam = _primitive(field)
+    scale = [field.pow(lam, i) for i in range(k)]
+    images = _line_images(
+        field, k, g, lambda x: tuple(field.mul(s, a) for s, a in zip(scale, x))
+    )
+    _check_directions(field, k, images, lambda z: field.mul(lam, z))
+
+
+@pytest.mark.parametrize("q,k", CASES)
+def test_frobenius_is_an_automorphism(q, k):
+    field, g = make_field(*FIELDS[q]), _graph(q, k)
+    images = _line_images(field, k, g, lambda x: tuple(field.pow(a, field.p) for a in x))
+    _check_directions(field, k, images, lambda z: field.pow(z, field.p))
+
+
+def test_the_oracle_rejects_a_coordinate_swap():
+    # (1, z, z^2) swapped to (z, 1, z^2) is no moment direction for z = 0.
+    field, g = make_field(3), _graph(3, 3)
+    with pytest.raises(AssertionError, match="no line"):
+        _line_images(field, 3, g, lambda x: (x[1], x[0], x[2]))

@@ -9,6 +9,7 @@ from girthforge.graph import build, from_edges
 from girthforge.moment import line_through, points_on
 from girthforge.oracle import naive_cycle_count
 from girthforge.verify import (
+    _translation_invariant,
     construction_report,
     count_cycles,
     find_c4,
@@ -27,6 +28,16 @@ F3 = make_field(3)
 F4 = make_field(2, 2)
 F5 = make_field(5)
 F7 = make_field(7)
+
+# (field, k, lengths) on which rooted counts are compared with full
+# enumeration; nonzero counts include C8 = 4 at q=2 k=4, C8 = 81 at
+# q=3 k=3 and C12 = 4374 at q=3 k=5.
+ROOTED_CASES = (
+    [(f, k, range(4, 13, 2)) for f in (F2, F3) for k in range(2, 6)]
+    + [(F4, k, range(4, 11, 2)) for k in (2, 3)]
+    + [(F5, k, range(4, 9, 2)) for k in (2, 3)]
+    + [(F4, 5, (6, 10))]
+)
 
 
 def test_find_c4_on_k22():
@@ -166,7 +177,8 @@ def test_construction_report_passes():
         assert ("c10-free" in names) == (k >= 5)
 
 
-def test_construction_report_detects_injected_edge():
+def _doctored_f3_k2():
+    """The q=3, k=2 graph with one extra edge."""
     g = build(F3, 2)
     pairs = [(p, l - g.nP) for p, l in g.edges()]
     extra = next(
@@ -175,8 +187,11 @@ def test_construction_report_detects_injected_edge():
         for l in range(g.nL)
         if (p, l) not in pairs
     )
-    doctored = from_edges(g.nP, g.nL, pairs + [extra], meta=g.meta)
-    report = construction_report(doctored)
+    return from_edges(g.nP, g.nL, pairs + [extra], meta=g.meta)
+
+
+def test_construction_report_detects_injected_edge():
+    report = construction_report(_doctored_f3_k2())
     by_name = {c.name: c for c in report.claims}
     assert not report.passed
     assert not by_name["edges"].passed
@@ -211,3 +226,86 @@ def test_witness_directions_on_6_cycles():
         assert len(zs) == 3
         # consecutive lines around any cycle are never parallel
         assert all(zs[i] != zs[(i + 1) % 3] for i in range(3))
+
+
+def _full_count(g, length):
+    """Count and first witness of the all-roots enumeration."""
+    count, first = 0, None
+    for w in iter_cycles(g, length):
+        count += 1
+        first = first or w
+    return count, first
+
+
+@pytest.mark.parametrize(
+    "field,k,lengths", ROOTED_CASES, ids=[f"q{f.q}-k{k}" for f, k, _ in ROOTED_CASES]
+)
+def test_rooted_counts_match_full_enumeration(field, k, lengths):
+    g = build(field, k)
+    assert _translation_invariant(g)
+    for length in lengths:
+        assert count_cycles(g, length) == _full_count(g, length), length
+
+
+def test_rooted_counts_are_not_all_zero():
+    assert count_cycles(build(F2, 4), 8)[0] == 4
+    assert count_cycles(build(F3, 3), 8)[0] == 81
+    assert count_cycles(build(F3, 5), 12)[0] == 4374
+
+
+def test_rooted_counts_match_naive_oracle():
+    for field, k, lengths in (
+        (F2, 2, (4, 6, 8, 10)),
+        (F2, 3, (4, 6, 8, 10)),
+        (F2, 4, (4, 6, 8, 10)),
+        (F2, 5, (4, 6, 8, 10)),
+        (F3, 2, (4, 6, 8, 10)),
+        (F3, 3, (4, 6, 8, 10)),
+        (F4, 2, (4, 6, 8)),
+        (F5, 2, (4, 6)),
+        (F7, 2, (4,)),
+    ):
+        g = build(field, k)
+        assert g.nP + g.nL <= 100 and _translation_invariant(g)
+        for length in lengths:
+            assert count_cycles(g, length)[0] == naive_cycle_count(g, length)
+
+
+@pytest.mark.parametrize("field", (F2, F3, F4, F5), ids=repr)
+def test_rooted_max_l4_paths_matches_full_scan(field):
+    g = build(field, 4)
+    assert _translation_invariant(g)
+    best, arg = 0, None
+    for p in range(g.nP):
+        counts = l4_path_counts_from(g, p)
+        for p2 in range(p + 1, g.nP):
+            v = counts.get(p2, 0)
+            if arg is None or v > best:
+                best, arg = v, (p, p2)
+    assert max_l4_paths(g) == (best, arg, [])
+
+
+def test_translation_check_rejects_doctored_graph():
+    g = _doctored_f3_k2()
+    assert not _translation_invariant(g)
+    for length in (4, 6, 8, 10):
+        assert count_cycles(g, length)[0] == naive_cycle_count(g, length)
+
+
+def test_translation_check_counts_repeated_rows():
+    # Three copies of line {0, 1} and one of {2, 3} over GF(2)^2. The
+    # translation by (0, 1) swaps the two point sets, so the set of rows
+    # survives it but the multiset does not. Rooted at P vertex 0 the
+    # three C4s on {0, 1} would count as 4 * 3 / 2 = 6.
+    edges = [(0, 0), (1, 0), (0, 1), (1, 1), (0, 2), (1, 2), (2, 3), (3, 3)]
+    g = from_edges(4, 4, edges, meta=(2, 1, 2))
+    assert not _translation_invariant(g)
+    assert count_cycles(g, 4)[0] == naive_cycle_count(g, 4) == 3
+    assert count_cycles(g, 6)[0] == naive_cycle_count(g, 6)
+
+
+def test_translation_check_needs_field_metadata():
+    assert not _translation_invariant(k33())
+    assert not _translation_invariant(from_edges(4, 4, [], meta=(4, 1, 1)))
+    assert not _translation_invariant(from_edges(5, 5, [], meta=(2, 1, 2)))
+    assert _translation_invariant(build(F4, 3))
