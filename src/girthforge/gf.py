@@ -219,6 +219,10 @@ class Field:
 
 def make_field(p: int, m: int = 1) -> Field:
     """Build GF(p^m) with the deterministic smallest irreducible modulus."""
+    # Bound the size before trial division and before p**m: a header or
+    # flag with a huge p or m would otherwise hang either one.
+    if p > SIZE_CAP or m > SIZE_CAP.bit_length():
+        raise SizeLimitError(f"field order {p}^{m} exceeds cap {SIZE_CAP}")
     if not is_prime(p):
         raise ValueError(f"p must be prime, got {p}")
     if m < 1:

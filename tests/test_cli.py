@@ -136,6 +136,17 @@ def test_main_in_process_round_trip(tmp_path, capsys):
     assert rc == 0
 
 
+def test_huge_prime_is_refused_by_size_at_once(monkeypatch, capsys):
+    def unreachable(n):
+        raise AssertionError(f"trial division of {n}")
+
+    monkeypatch.setattr("girthforge.gf.is_prime", unreachable)
+    assert main(["verify", "--p", "1000000000000000003", "--k", "2"]) == 2
+    assert capsys.readouterr().err == (
+        "error: field order 1000000000000000003^1 exceeds cap 1048576\n"
+    )
+
+
 def test_main_io_error_exit_2(capsys):
     rc = main(["generate", "--p", "2", "--m", "1", "--k", "2", "--out", "/nonexistent-dir/x.txt"])
     assert rc == 2

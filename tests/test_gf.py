@@ -64,6 +64,18 @@ def test_make_field_rejects_bad_input():
         make_field(2, 21)
 
 
+@pytest.mark.parametrize(
+    "p, m", [(1_000_000_000_000_000_003, 1), (2, 10**12), (2**20 + 7, 1)]
+)
+def test_make_field_bounds_size_before_trial_division(monkeypatch, p, m):
+    def unreachable(n):
+        raise AssertionError(f"trial division of {n}")
+
+    monkeypatch.setattr("girthforge.gf.is_prime", unreachable)
+    with pytest.raises(SizeLimitError):
+        make_field(p, m)
+
+
 def test_add_examples():
     f5 = make_field(5)
     assert f5.add(3, 4) == 2

@@ -190,6 +190,24 @@ def test_parse_rejects_header_off_the_field(values):
         parse(f"girthforge-v1 {values} e=0\n")
 
 
+@pytest.mark.parametrize(
+    "values",
+    [
+        "p=1000000000000000003 m=1 k=2 nP=1 nL=1",
+        f"p=1000000000000000003 m=1 k=2 nP={10**36 + 6 * 10**18 + 9} nL={10**36 + 6 * 10**18 + 9}",
+        "p=2 m=1000000000000 k=2 nP=1 nL=1",
+    ],
+    ids=["huge-prime", "huge-prime-matching-counts", "huge-m"],
+)
+def test_parse_rejects_huge_header_without_trial_division(monkeypatch, values):
+    def unreachable(n):
+        raise AssertionError(f"trial division of {n}")
+
+    monkeypatch.setattr("girthforge.gf.is_prime", unreachable)
+    with pytest.raises(SizeLimitError):
+        parse(f"girthforge-v1 {values} e=0\n")
+
+
 def test_parse_reports_out_of_range_id_as_written():
     with pytest.raises(ValueError, match=r"edge '0 99': id 99 out of range"):
         parse(D22_TEXT.replace("0 6\n", "0 99\n"))

@@ -244,6 +244,15 @@ def test_parse_family_rejects_bad_header(head):
         parse_family(head + "\ndir=1,0,0,0 base=0,0,0,0\n")
 
 
+def test_parse_family_rejects_huge_prime_without_trial_division(monkeypatch):
+    def unreachable(n):
+        raise AssertionError(f"trial division of {n}")
+
+    monkeypatch.setattr("girthforge.gf.is_prime", unreachable)
+    with pytest.raises(SizeLimitError):
+        parse_family("girthforge-lines4 p=1000000000000000003 m=1 n=0\n")
+
+
 @pytest.mark.parametrize(
     "line",
     [
