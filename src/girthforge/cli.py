@@ -67,7 +67,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_theta(args: argparse.Namespace) -> int:
-    count, pair, _ = max_l4_paths(build(make_field(args.p, args.m), args.k))
+    count, pair = max_l4_paths(build(make_field(args.p, args.m), args.k))
     where = f"{pair[0]},{pair[1]}" if pair else "none"
     print(f"max-l4-paths {count} pair={where}")
     ok = count <= 2

@@ -185,17 +185,6 @@ class Field:
                     prod[i - m + j] = (prod[i - m + j] - f * mod[j]) % p
         return self._index(prod[:m])
 
-    def pow(self, a: int, e: int) -> int:
-        if e < 0:
-            raise ValueError("negative exponent; invert explicitly instead")
-        result, base = 1, a
-        while e:
-            if e & 1:
-                result = self.mul(result, base)
-            base = self.mul(base, base)
-            e >>= 1
-        return result
-
     def inv(self, a: int) -> int:
         if a == 0:
             raise ZeroDivisionError("0 has no multiplicative inverse")

@@ -18,7 +18,9 @@ A bare variant drops the header for third-party tools.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 from typing import IO, Iterable, Iterator
 
 from girthforge.gf import Field, make_field
@@ -59,6 +61,40 @@ class BiGraph:
         for p in range(self.nP):
             for l in self.adjP[p]:
                 yield p, l
+
+    @cached_property
+    def translation_invariant(self) -> bool:
+        """True if every translation x -> x + t of GF(q)^k permutes the L rows.
+
+        Then the translations are automorphisms that act regularly on P, so
+        P vertex 0 stands for every P vertex. They are generated by the
+        k*m vectors with the field element p^j in coordinate i, so only
+        those are tried. Rows are compared as a multiset: with a set, a
+        graph with repeated rows could pass without being mapped onto itself.
+        The answer is computed once per graph and dies with it.
+        """
+        if self.meta is None:
+            return False
+        p, m, k = self.meta
+        try:
+            field = make_field(p, m)
+        except ValueError:
+            return False
+        if self.nP != field.q**k:
+            return False
+        points = [id_point(field, k, v) for v in range(self.nP)]
+        rows = Counter(self.adjL)
+        for i in range(k):
+            for j in range(m):
+                t = p**j
+                pi = [
+                    point_id(field, x[:i] + (field.add(x[i], t),) + x[i + 1 :])
+                    for x in points
+                ]
+                moved = Counter(tuple(sorted(pi[v] for v in row)) for row in self.adjL)
+                if moved != rows:
+                    return False
+        return True
 
 
 @dataclass(frozen=True)
@@ -150,27 +186,6 @@ def stats(g: BiGraph) -> GraphStats:
         max_deg=hi,
         is_regular=lo == hi,
     )
-
-
-def validate_bigraph(g: BiGraph) -> BiGraph:
-    """Check mirror consistency, sortedness and id ranges; raise on defect."""
-    for p, row in enumerate(g.adjP):
-        if list(row) != sorted(set(row)):
-            raise ValueError(f"adjP[{p}] not strictly sorted")
-        for l in row:
-            if not g.nP <= l < g.nP + g.nL:
-                raise ValueError(f"adjP[{p}] has non-L id {l}")
-            if p not in g.adjL[l - g.nP]:
-                raise ValueError(f"edge ({p}, {l}) missing from adjL")
-    for l, row in enumerate(g.adjL):
-        if list(row) != sorted(set(row)):
-            raise ValueError(f"adjL[{l}] not strictly sorted")
-        for p in row:
-            if not 0 <= p < g.nP:
-                raise ValueError(f"adjL[{l}] has non-P id {p}")
-            if g.nP + l not in g.adjP[p]:
-                raise ValueError(f"edge ({p}, {g.nP + l}) missing from adjP")
-    return g
 
 
 def to_text(g: BiGraph, fmt: str = "v1") -> str:

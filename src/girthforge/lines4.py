@@ -61,6 +61,8 @@ def canonical_genline(field: Field, x: Point, d: Point) -> GenLine:
     """Canonicalize the line through x with direction d."""
     if len(x) != DIM or len(d) != DIM:
         raise ValueError(f"points must have dimension {DIM}")
+    if not all(0 <= c < field.q for c in x + d):
+        raise ValueError(f"coordinate of {x} or {d} lies outside GF({field.q})")
     piv = next((i for i, di in enumerate(d) if di), None)
     if piv is None:
         raise ValueError("direction must be nonzero")
@@ -69,13 +71,6 @@ def canonical_genline(field: Field, x: Point, d: Point) -> GenLine:
     y = x[piv]
     base = tuple(field.sub(xi, field.mul(y, di)) for xi, di in zip(x, direction))
     return GenLine(direction, base)
-
-
-def points_on_genline(field: Field, line: GenLine) -> list[Point]:
-    return [
-        tuple(field.add(b, field.mul(y, d)) for b, d in zip(line.base, line.dir))
-        for y in field.elements()
-    ]
 
 
 def contains(field: Field, line: GenLine, pt: Point) -> bool:
@@ -293,8 +288,6 @@ def parse_family(text: str) -> tuple[int, int, list[GenLine]]:
         dpart, bpart = ln.split()
         direction = tuple(int(v) for v in dpart.removeprefix("dir=").split(","))
         base = tuple(int(v) for v in bpart.removeprefix("base=").split(","))
-        if not all(0 <= c < field.q for c in direction + base):
-            raise ValueError(f"line {ln!r} has a coordinate outside GF({field.q})")
         line = GenLine(direction, base)
         if canonical_genline(field, base, direction) != line:
             raise ValueError(f"line {ln!r} is not in canonical form")

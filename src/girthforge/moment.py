@@ -55,6 +55,8 @@ def moment_vector(field: Field, z: int, k: int) -> Point:
 
 def line_through(field: Field, x: Point, z: int) -> MomentLine:
     """Canonical representative of the direction-z line through x."""
+    if not all(0 <= c < field.q for c in (*x, z)):
+        raise ValueError(f"point {x} or direction {z} lies outside GF({field.q})")
     mv = moment_vector(field, z, len(x))
     y = x[0]
     base = tuple(field.sub(xi, field.mul(y, mi)) for xi, mi in zip(x, mv))

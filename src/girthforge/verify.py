@@ -6,12 +6,14 @@ exactly once: the cycle is rooted at its minimum-ID vertex, the DFS
 visits only IDs greater than the root, and of the two traversal
 directions the one whose second vertex is smaller than its last is
 kept. With sorted adjacency the first cycle found is therefore the
-lexicographically smallest witness.
+lexicographically smallest witness. P ids sort below L ids, so every
+cycle is rooted at a P vertex.
 
-When the translations of GF(q)^k map a graph onto itself (checked on
-the graph, not assumed from its metadata), cycle counts and the
-length-4 path maximum are taken from P vertex 0 alone; otherwise every
-vertex is searched.
+One rule picks the roots of every search. When the translations of
+GF(q)^k map a graph onto itself (checked on the graph once, by
+``BiGraph.translation_invariant``, not assumed from its metadata), the
+C4 scan, the cycle counts and the length-4 path maximum start from P
+vertex 0 alone; otherwise they start from every P vertex.
 """
 
 from __future__ import annotations
@@ -23,8 +25,8 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from girthforge.errors import SizeLimitError
-from girthforge.gf import Field, make_field
-from girthforge.graph import BiGraph, build, id_line, id_point, point_id
+from girthforge.gf import Field
+from girthforge.graph import BiGraph, build, id_line
 
 CycleWitness = tuple[int, ...]
 
@@ -74,36 +76,41 @@ def validate_cycle(g: BiGraph, w: CycleWitness) -> CycleWitness:
     return w
 
 
-def _unified_adj(g: BiGraph) -> list[tuple[int, ...]]:
-    return list(g.adjP) + list(g.adjL)
+def _roots(g: BiGraph) -> range:
+    """The P vertices a search starts from.
+
+    Translations act regularly on P, so on a translation-invariant graph
+    every P vertex looks like P vertex 0 and 0 alone is searched.
+    """
+    return range(1 if g.translation_invariant else g.nP)
 
 
 def find_c4(g: BiGraph) -> CycleWitness | None:
-    """First 4-cycle by common-neighbor pair hashing, or None.
+    """First 4-cycle through a root P vertex, or None.
 
-    Two L vertices sharing two P neighbors form a C4; marking every
-    unordered L-pair seen from each P vertex finds a repeat in
-    O(sum deg^2) without any path search.
+    From a root p, each point reached through a line of p is mapped to
+    that line; a second line of p reaching the same point closes the C4
+    (p, l1, p2, l2). Every C4 passes through some P vertex, and on a
+    translation-invariant graph through P vertex 0. The scan costs
+    O(sum deg^2) over all roots and holds one root's O(deg^2) points.
     """
-    seen: dict[tuple[int, int], int] = {}
-    for p in range(g.nP):
-        ls = g.adjP[p]
-        for i in range(len(ls)):
-            for j in range(i + 1, len(ls)):
-                pair = (ls[i], ls[j])
-                other = seen.get(pair)
-                if other is not None:
-                    return validate_cycle(g, (other, ls[i], p, ls[j]))
-                seen[pair] = p
+    nP = g.nP
+    for p in _roots(g):
+        reached: dict[int, int] = {}
+        for l2 in g.adjP[p]:
+            for p2 in g.adjL[l2 - nP]:
+                if p2 == p:
+                    continue
+                l1 = reached.setdefault(p2, l2)
+                if l1 != l2:
+                    return validate_cycle(g, (p, l1, p2, l2))
     return None
 
 
 def girth(g: BiGraph) -> int | float:
     """Length of the shortest cycle via BFS from every vertex; inf if none."""
-    adj = _unified_adj(g)
-    n = len(adj)
     best: int | float = math.inf
-    for root in range(n):
+    for root in range(g.nP + g.nL):
         dist = {root: 0}
         parent = {root: -1}
         queue = deque([root])
@@ -112,7 +119,7 @@ def girth(g: BiGraph) -> int | float:
             # Any candidate through u is at least 2*dist[u] long.
             if 2 * dist[u] >= best:
                 break
-            for w in adj[u]:
+            for w in g.neighbors(u):
                 if w not in dist:
                     dist[w] = dist[u] + 1
                     parent[w] = u
@@ -136,15 +143,14 @@ def _check_cycle_length(g: BiGraph, length: int) -> None:
 
 def _cycles_from(g: BiGraph, length: int, roots: range) -> Iterator[CycleWitness]:
     """Canonical cycles of an even, checked length whose minimum vertex is in roots."""
-    adj = _unified_adj(g)
-    nbr = [set(a) for a in adj]
+    adj = g.adjP + g.adjL
     path = [0] * length
     on_path = [False] * (g.nP + g.nL)
 
     def extend(v: int, depth: int) -> Iterator[CycleWitness]:
         root = path[0]
         if depth == length:
-            if root in nbr[v] and path[1] < path[-1]:
+            if v in closing and path[1] < path[-1]:
                 yield validate_cycle(g, tuple(path))
             return
         for w in adj[v]:
@@ -155,8 +161,9 @@ def _cycles_from(g: BiGraph, length: int, roots: range) -> Iterator[CycleWitness
                 on_path[w] = False
 
     for root in roots:
-        if len(adj[root]) < 2:
+        if len(g.adjP[root]) < 2:
             continue
+        closing = set(g.adjP[root])
         path[0] = root
         on_path[root] = True
         yield from extend(root, 1)
@@ -168,40 +175,7 @@ def iter_cycles(g: BiGraph, length: int) -> Iterator[CycleWitness]:
     if length % 2:
         return
     _check_cycle_length(g, length)
-    yield from _cycles_from(g, length, range(g.nP + g.nL))
-
-
-def _translation_invariant(g: BiGraph) -> bool:
-    """True if every translation x -> x + t of GF(q)^k permutes the L rows.
-
-    Then the translations are automorphisms that act regularly on P, so
-    P vertex 0 stands for every P vertex. They are generated by the
-    k*m vectors with the field element p^j in coordinate i, so only
-    those are tried. Rows are compared as a multiset: with a set, a
-    graph with repeated rows could pass without being mapped onto itself.
-    """
-    if g.meta is None:
-        return False
-    p, m, k = g.meta
-    try:
-        field = make_field(p, m)
-    except ValueError:
-        return False
-    if g.nP != field.q**k:
-        return False
-    points = [id_point(field, k, v) for v in range(g.nP)]
-    rows = Counter(g.adjL)
-    for i in range(k):
-        for j in range(m):
-            t = p**j
-            pi = [
-                point_id(field, x[:i] + (field.add(x[i], t),) + x[i + 1 :])
-                for x in points
-            ]
-            moved = Counter(tuple(sorted(pi[v] for v in row)) for row in g.adjL)
-            if moved != rows:
-                return False
-    return True
+    yield from _cycles_from(g, length, range(g.nP))
 
 
 def count_cycles(g: BiGraph, length: int) -> tuple[int, CycleWitness | None]:
@@ -216,14 +190,13 @@ def count_cycles(g: BiGraph, length: int) -> tuple[int, CycleWitness | None]:
     if length % 2:
         return 0, None
     _check_cycle_length(g, length)
-    rooted = _translation_invariant(g)
     count = 0
     first: CycleWitness | None = None
-    for w in _cycles_from(g, length, range(1 if rooted else g.nP + g.nL)):
+    for w in _cycles_from(g, length, _roots(g)):
         count += 1
         if first is None:
             first = w
-    if not rooted:
+    if not g.translation_invariant:
         return count, first
     total, rem = divmod(g.nP * count, length // 2)
     if rem:
@@ -250,44 +223,24 @@ def l4_path_counts_from(g: BiGraph, p: int) -> Counter[int]:
     return counts
 
 
-def _l4_chains(g: BiGraph, a: int, b: int) -> Iterator[tuple[int, ...]]:
-    nP = g.nP
-    for l1 in g.adjP[a]:
-        for p2 in g.adjL[l1 - nP]:
-            if p2 in (a, b):
-                continue
-            for l2 in g.adjP[p2]:
-                if l2 == l1:
-                    continue
-                if b in g.adjL[l2 - nP]:
-                    yield (a, l1, p2, l2, b)
-
-
-def max_l4_paths(
-    g: BiGraph,
-) -> tuple[int, tuple[int, int] | None, list[tuple[int, ...]]]:
+def max_l4_paths(g: BiGraph) -> tuple[int, tuple[int, int] | None]:
     """Maximum length-4 path count over all unordered P-pairs.
 
-    Returns (max count, first pair attaining it, witness chains). The
-    chains are materialized only when the count is at least 3, the
-    threshold at which the construction's bound would be broken.
+    Returns (max count, first pair attaining it). Translations keep path
+    counts, and the one by -p takes the pair (p, p') to a pair (0, p'').
+    So on an invariant graph row 0 holds the maximum, and its first pair
+    attaining it is the full scan's first.
     """
     best = 0
     arg: tuple[int, int] | None = None
-    # Translations keep path counts, and the one by -p takes the pair
-    # (p, p') to a pair (0, p''). So on an invariant graph row 0 holds the
-    # maximum, and its first pair attaining it is the full scan's first.
-    for p in range(1 if _translation_invariant(g) else g.nP):
+    for p in _roots(g):
         counts = l4_path_counts_from(g, p)
         for p2 in range(p + 1, g.nP):
             v = counts.get(p2, 0)
             if arg is None or v > best:
                 best = v
                 arg = (p, p2)
-    witnesses: list[tuple[int, ...]] = []
-    if best >= 3 and arg is not None:
-        witnesses = list(_l4_chains(g, *arg))
-    return best, arg, witnesses
+    return best, arg
 
 
 def witness_directions(field: Field, g: BiGraph, w: CycleWitness) -> list[int]:

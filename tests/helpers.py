@@ -7,8 +7,10 @@ import random
 from pathlib import Path
 
 import girthforge
+from girthforge.gf import Field
 from girthforge.graph import BiGraph, from_edges
 from girthforge.lines4 import SAME_LINE, GenLine, canonical_genline, intersect
+from girthforge.moment import Point
 
 # Environment for a `python -m girthforge` child process: it imports the
 # same girthforge as the tests, whether or not the package is installed.
@@ -92,3 +94,44 @@ def random_genline(field, rng: random.Random) -> GenLine:
             break
     x = tuple(rng.randrange(q) for _ in range(4))
     return canonical_genline(field, x, d)
+
+
+def field_pow(field: Field, a: int, e: int) -> int:
+    """a^e in the field by square-and-multiply; e must be non-negative."""
+    if e < 0:
+        raise ValueError("negative exponent; invert explicitly instead")
+    result, base = 1, a
+    while e:
+        if e & 1:
+            result = field.mul(result, base)
+        base = field.mul(base, base)
+        e >>= 1
+    return result
+
+
+def validate_bigraph(g: BiGraph) -> BiGraph:
+    """Check mirror consistency, sortedness and id ranges; raise on defect."""
+    for p, row in enumerate(g.adjP):
+        if list(row) != sorted(set(row)):
+            raise ValueError(f"adjP[{p}] not strictly sorted")
+        for l in row:
+            if not g.nP <= l < g.nP + g.nL:
+                raise ValueError(f"adjP[{p}] has non-L id {l}")
+            if p not in g.adjL[l - g.nP]:
+                raise ValueError(f"edge ({p}, {l}) missing from adjL")
+    for l, row in enumerate(g.adjL):
+        if list(row) != sorted(set(row)):
+            raise ValueError(f"adjL[{l}] not strictly sorted")
+        for p in row:
+            if not 0 <= p < g.nP:
+                raise ValueError(f"adjL[{l}] has non-P id {p}")
+            if g.nP + l not in g.adjP[p]:
+                raise ValueError(f"edge ({p}, {g.nP + l}) missing from adjP")
+    return g
+
+
+def points_on_genline(field: Field, line: GenLine) -> list[Point]:
+    return [
+        tuple(field.add(b, field.mul(y, d)) for b, d in zip(line.base, line.dir))
+        for y in field.elements()
+    ]

@@ -108,9 +108,8 @@ def test_l4_path_bound(built):
     graphs, _ = built
     for q in (2, 3):
         t0 = time.perf_counter()
-        best, pair, witnesses = max_l4_paths(graphs[(4, q)])
+        best, pair = max_l4_paths(graphs[(4, q)])
         assert best <= 2, f"{best} length-4 paths between {pair} at q={q}"
-        assert witnesses == []
         assert time.perf_counter() - t0 < 60.0
     _report("l4-path-bound")
 

@@ -16,9 +16,9 @@ from girthforge.graph import (
     point_id,
     stats,
     to_text,
-    validate_bigraph,
 )
 from girthforge.moment import MomentLine, enumerate_lines, points_on
+from helpers import validate_bigraph
 
 F2 = make_field(2)
 F3 = make_field(3)

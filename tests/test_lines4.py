@@ -21,12 +21,11 @@ from girthforge.lines4 import (
     moment_seed,
     parse_family,
     pivot,
-    points_on_genline,
     validate_line_c4,
     write_family,
 )
 from girthforge.verify import count_cycles
-from helpers import brute_force_line_c4, random_genline
+from helpers import brute_force_line_c4, points_on_genline, random_genline
 
 F2 = make_field(2)
 F3 = make_field(3)
@@ -48,6 +47,19 @@ def test_canonical_rejects_zero_direction():
         canonical_genline(F3, (0, 0, 0, 0), (0, 0, 0, 0))
     with pytest.raises(ValueError):
         canonical_genline(F3, (0, 0, 0), (1, 0, 0))
+
+
+@pytest.mark.parametrize(
+    "x,d",
+    [
+        ((0, 0, 0, 4), (1, 0, 0, 0)),
+        ((0, 0, 0, 0), (1, 0, 4, 0)),
+        ((-1, 0, 0, 0), (1, 0, 0, 0)),
+    ],
+)
+def test_canonical_rejects_coordinates_outside_the_field(x, d):
+    with pytest.raises(ValueError):
+        canonical_genline(make_field(2, 2), x, d)
 
 
 def test_canonical_is_representative_independent():

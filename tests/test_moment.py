@@ -46,6 +46,14 @@ def test_line_through_examples():
     assert line_through(F5, (2, 0, 0), 2) == MomentLine(2, (0, 1, 2))
 
 
+@pytest.mark.parametrize(
+    "x,z", [((7, 0, 0), 1), ((0, 0, 0), 4), ((0, -1, 0), 1), ((0, 0, 0), -1)]
+)
+def test_line_through_rejects_input_outside_the_field(x, z):
+    with pytest.raises(ValueError):
+        line_through(F4, x, z)
+
+
 def test_line_through_same_point_set():
     # Both representatives must generate the same 5-point set.
     raw = {_shift(F5, (2, 0, 0), 2, y) for y in range(5)}

@@ -60,7 +60,7 @@ def test_naive_l4_paths_examples():
 
 def test_naive_l4_agrees_on_every_pair():
     g = build(F2, 4)
-    best, _, _ = max_l4_paths(g)
+    best, _ = max_l4_paths(g)
     observed = 0
     for p, p2 in itertools.combinations(range(g.nP), 2):
         naive = naive_l4_paths(g, p, p2)

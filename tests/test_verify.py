@@ -1,15 +1,16 @@
+import dataclasses
 import math
 import re
+from functools import cached_property
 
 import pytest
 
 from girthforge.errors import SizeLimitError
 from girthforge.gf import make_field
-from girthforge.graph import build, from_edges
+from girthforge.graph import BiGraph, build, from_edges
 from girthforge.moment import line_through, points_on
 from girthforge.oracle import naive_cycle_count
 from girthforge.verify import (
-    _translation_invariant,
     construction_report,
     count_cycles,
     find_c4,
@@ -21,7 +22,7 @@ from girthforge.verify import (
     verify_construction,
     witness_directions,
 )
-from helpers import cycle_fixture, k22, k33, path_fixture, star_fixture
+from helpers import cycle_fixture, k22, k33, path_fixture, random_bipartite, star_fixture
 
 F2 = make_field(2)
 F3 = make_field(3)
@@ -124,8 +125,6 @@ def test_girth_agrees_with_count_cycles():
 
 
 def test_girth_on_random_fixtures_matches_oracle():
-    from helpers import random_bipartite
-
     for seed in range(30):
         g = random_bipartite(seed, max_side=9)
         with_cycles = [n for n in (4, 6, 8, 10) if naive_cycle_count(g, n) > 0]
@@ -148,15 +147,13 @@ def test_girth_disconnected_components():
 
 def test_max_l4_paths_fixtures():
     assert max_l4_paths(star_fixture())[0] == 0
-    best, pair, wit = max_l4_paths(path_fixture())
-    assert (best, pair, wit) == (1, (0, 2), [])
+    assert max_l4_paths(path_fixture()) == (1, (0, 2))
 
 
 def test_max_l4_paths_constructions():
     for field in (F2, F3):
-        best, pair, wit = max_l4_paths(build(field, 4))
-        assert best <= 2
-        assert wit == []
+        best, pair = max_l4_paths(build(field, 4))
+        assert best <= 2 and pair is not None
 
 
 def test_l4_path_counts_from_matches_reverse():
@@ -242,7 +239,7 @@ def _full_count(g, length):
 )
 def test_rooted_counts_match_full_enumeration(field, k, lengths):
     g = build(field, k)
-    assert _translation_invariant(g)
+    assert g.translation_invariant
     for length in lengths:
         assert count_cycles(g, length) == _full_count(g, length), length
 
@@ -266,7 +263,7 @@ def test_rooted_counts_match_naive_oracle():
         (F7, 2, (4,)),
     ):
         g = build(field, k)
-        assert g.nP + g.nL <= 100 and _translation_invariant(g)
+        assert g.nP + g.nL <= 100 and g.translation_invariant
         for length in lengths:
             assert count_cycles(g, length)[0] == naive_cycle_count(g, length)
 
@@ -274,7 +271,7 @@ def test_rooted_counts_match_naive_oracle():
 @pytest.mark.parametrize("field", (F2, F3, F4, F5), ids=repr)
 def test_rooted_max_l4_paths_matches_full_scan(field):
     g = build(field, 4)
-    assert _translation_invariant(g)
+    assert g.translation_invariant
     best, arg = 0, None
     for p in range(g.nP):
         counts = l4_path_counts_from(g, p)
@@ -282,12 +279,12 @@ def test_rooted_max_l4_paths_matches_full_scan(field):
             v = counts.get(p2, 0)
             if arg is None or v > best:
                 best, arg = v, (p, p2)
-    assert max_l4_paths(g) == (best, arg, [])
+    assert max_l4_paths(g) == (best, arg)
 
 
 def test_translation_check_rejects_doctored_graph():
     g = _doctored_f3_k2()
-    assert not _translation_invariant(g)
+    assert not g.translation_invariant
     for length in (4, 6, 8, 10):
         assert count_cycles(g, length)[0] == naive_cycle_count(g, length)
 
@@ -299,13 +296,57 @@ def test_translation_check_counts_repeated_rows():
     # three C4s on {0, 1} would count as 4 * 3 / 2 = 6.
     edges = [(0, 0), (1, 0), (0, 1), (1, 1), (0, 2), (1, 2), (2, 3), (3, 3)]
     g = from_edges(4, 4, edges, meta=(2, 1, 2))
-    assert not _translation_invariant(g)
+    assert not g.translation_invariant
     assert count_cycles(g, 4)[0] == naive_cycle_count(g, 4) == 3
     assert count_cycles(g, 6)[0] == naive_cycle_count(g, 6)
+    validate_cycle(g, find_c4(g))
 
 
 def test_translation_check_needs_field_metadata():
-    assert not _translation_invariant(k33())
-    assert not _translation_invariant(from_edges(4, 4, [], meta=(4, 1, 1)))
-    assert not _translation_invariant(from_edges(5, 5, [], meta=(2, 1, 2)))
-    assert _translation_invariant(build(F4, 3))
+    assert not k33().translation_invariant
+    assert not from_edges(4, 4, [], meta=(4, 1, 1)).translation_invariant
+    assert not from_edges(5, 5, [], meta=(2, 1, 2)).translation_invariant
+    assert build(F4, 3).translation_invariant
+
+
+def test_find_c4_matches_naive_oracle_on_random_graphs():
+    # No metadata, so every P vertex is a root.
+    for seed in range(100):
+        g = random_bipartite(seed)
+        w = find_c4(g)
+        assert (w is None) == (naive_cycle_count(g, 4) == 0), seed
+        if w is not None:
+            validate_cycle(g, w)
+
+
+@pytest.mark.parametrize(
+    "g",
+    [build(f, k) for f, k, _ in ROOTED_CASES]
+    + [from_edges(2, 2, [(0, 0), (0, 1), (1, 0), (1, 1)], meta=(2, 1, 1))],
+    ids=[f"q{f.q}-k{k}" for f, k, _ in ROOTED_CASES] + ["k22-labelled"],
+)
+def test_rooted_find_c4_matches_full_scan(g):
+    assert g.translation_invariant
+    rooted = find_c4(g)
+    full = find_c4(dataclasses.replace(g, meta=None))
+    assert (rooted is None) == (full is None)
+    if rooted is not None:
+        validate_cycle(g, rooted)
+        validate_cycle(g, full)
+        assert 0 in rooted
+
+
+def test_construction_report_checks_translations_once(monkeypatch):
+    g = build(F4, 5)
+    calls = []
+    check = BiGraph.translation_invariant.func
+
+    def counted(self):
+        calls.append(self)
+        return check(self)
+
+    prop = cached_property(counted)
+    prop.__set_name__(BiGraph, "translation_invariant")
+    monkeypatch.setattr(BiGraph, "translation_invariant", prop)
+    assert construction_report(g).passed
+    assert len(calls) == 1 and calls[0] is g
