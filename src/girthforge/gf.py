@@ -10,12 +10,22 @@ The reducing modulus is chosen deterministically: monic degree-m
 polynomials are scanned in lexicographic order of their coefficient
 tuple (c_0, ..., c_{m-1}) and the first irreducible one wins, so equal
 (p, m) always produce the same field, with no external tables.
+
+Extension fields (m > 1) compute with four tables built from the
+polynomial arithmetic on the first arithmetic call and kept for the
+field's lifetime; make_field builds none. With g the smallest index
+whose powers run through all q - 1 nonzero elements, exp[i] = g^i,
+log inverts it, zech[d] = log(1 + g^d) (Zech's logarithm, -1 where
+1 + g^d = 0) and neg[a] = -a. Then a*b = g^(log a + log b),
+a^-1 = g^(q - 1 - log a) and a + b = a * (1 + b/a) = g^(log a +
+zech[log b - log a]), each a few list lookups.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 
 from girthforge.errors import SizeLimitError
 
@@ -47,27 +57,6 @@ def _ptrim(a: list[int]) -> list[int]:
     while a and a[-1] == 0:
         a.pop()
     return a
-
-
-def _pmul(a: list[int], b: list[int], p: int) -> list[int]:
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
-    return _ptrim(out)
-
-
-def _psub(a: list[int], b: list[int], p: int) -> list[int]:
-    n = max(len(a), len(b))
-    out = [0] * n
-    for i in range(n):
-        ai = a[i] if i < len(a) else 0
-        bi = b[i] if i < len(b) else 0
-        out[i] = (ai - bi) % p
-    return _ptrim(out)
 
 
 def _pdivmod(a: list[int], b: list[int], p: int) -> tuple[list[int], list[int]]:
@@ -105,11 +94,77 @@ def _smallest_irreducible(p: int, m: int) -> tuple[int, ...]:
     raise AssertionError(f"no irreducible monic polynomial of degree {m} over GF({p})")
 
 
+_Tables = tuple[list[int], list[int], list[int], list[int]]
+
+
+def _build_tables(p: int, m: int, modulus: tuple[int, ...]) -> _Tables:
+    """(exp, log, zech, neg) of GF(p^m), m > 1, from polynomial arithmetic.
+
+    exp has length 2(q - 1) so that a sum of two logs indexes it
+    directly; log[0] is -1.
+    """
+    q = p**m
+
+    def digits(a: int) -> list[int]:
+        out = []
+        for _ in range(m):
+            out.append(a % p)
+            a //= p
+        return out
+
+    def index(coeffs: list[int]) -> int:
+        v = 0
+        for c in reversed(coeffs):
+            v = v * p + c
+        return v
+
+    def pmul(ca: list[int], cb: list[int]) -> list[int]:
+        prod = [0] * (2 * m - 1)
+        for i, x in enumerate(ca):
+            if x:
+                for j, y in enumerate(cb):
+                    prod[i + j] = (prod[i + j] + x * y) % p
+        # The modulus is monic, so each high coefficient is eliminated directly.
+        for i in range(2 * m - 2, m - 1, -1):
+            f = prod[i]
+            if f:
+                for j in range(m + 1):
+                    prod[i - m + j] = (prod[i - m + j] - f * modulus[j]) % p
+        return prod[:m]
+
+    # The first g whose powers return to 1 only after q - 1 steps generates
+    # the nonzero elements; a shorter period ends its walk early.
+    for g in range(2, q):
+        cg = digits(g)
+        exp, x = [1], cg
+        while (e := index(x)) != 1:
+            exp.append(e)
+            x = pmul(cg, x)
+        if len(exp) == q - 1:
+            break
+    else:
+        raise AssertionError(f"no primitive element in GF({q})")
+    log = [-1] * q
+    for i, e in enumerate(exp):
+        log[e] = i
+    # 1 + e adds 1 to the lowest base-p digit of e; log[0] = -1 marks 1 + e = 0.
+    zech = [log[e - e % p + (e + 1) % p] for e in exp]
+    exp += exp
+    # -1 is g^((q-1)/2) for odd p and 1 for p = 2.
+    half = (q - 1) // 2 if p > 2 else 0
+    neg = [0] * q
+    for i in range(q - 1):
+        neg[exp[i]] = exp[i + half]
+    return exp, log, zech, neg
+
+
 @dataclass(frozen=True)
 class Field:
     """GF(p^m) together with its element arithmetic.
 
     Construct via :func:`make_field`; elements are ints in [0, q).
+    Operands outside [0, q) are not checked and give unspecified
+    results; callers that take outside input check its range.
     All operations are pure, so a Field can be shared freely.
     """
 
@@ -124,42 +179,36 @@ class Field:
     def elements(self) -> range:
         return range(self.q)
 
-    def _digits(self, a: int) -> list[int]:
-        out = []
-        for _ in range(self.m):
-            out.append(a % self.p)
-            a //= self.p
-        return out
-
-    def _index(self, coeffs: list[int]) -> int:
-        v = 0
-        for c in reversed(coeffs):
-            v = v * self.p + c
-        return v
+    @cached_property
+    def _tables(self) -> _Tables:
+        """exp, log, zech and neg of an extension field, built on first use."""
+        return _build_tables(self.p, self.m, self.modulus)
 
     def add(self, a: int, b: int) -> int:
-        p = self.p
         if self.m == 1:
-            return (a + b) % p
-        out, mult = 0, 1
-        while a or b:
-            out += ((a + b) % p) * mult
-            a //= p
-            b //= p
-            mult *= p
-        return out
+            return (a + b) % self.p
+        if not a:
+            return b
+        if not b:
+            return a
+        exp, log, zech, _ = self._tables
+        la = log[a]
+        # Python's negative indexing reduces log b - log a mod q - 1.
+        z = zech[log[b] - la]
+        return exp[la + z] if z >= 0 else 0
 
     def sub(self, a: int, b: int) -> int:
-        p = self.p
         if self.m == 1:
-            return (a - b) % p
-        out, mult = 0, 1
-        while a or b:
-            out += ((a - b) % p) * mult
-            a //= p
-            b //= p
-            mult *= p
-        return out
+            return (a - b) % self.p
+        if not b:
+            return a
+        exp, log, zech, neg = self._tables
+        b = neg[b]
+        if not a:
+            return b
+        la = log[a]
+        z = zech[log[b] - la]
+        return exp[la + z] if z >= 0 else 0
 
     def neg(self, a: int) -> int:
         return self.sub(0, a)
@@ -169,41 +218,16 @@ class Field:
             return a * b % self.p
         if a == 0 or b == 0:
             return 0
-        p, m = self.p, self.m
-        ca, cb = self._digits(a), self._digits(b)
-        prod = [0] * (2 * m - 1)
-        for i, x in enumerate(ca):
-            if x:
-                for j, y in enumerate(cb):
-                    prod[i + j] = (prod[i + j] + x * y) % p
-        # Modulus is monic, so each high coefficient is eliminated directly.
-        mod = self.modulus
-        for i in range(2 * m - 2, m - 1, -1):
-            f = prod[i]
-            if f:
-                for j in range(m + 1):
-                    prod[i - m + j] = (prod[i - m + j] - f * mod[j]) % p
-        return self._index(prod[:m])
+        exp, log, _, _ = self._tables
+        return exp[log[a] + log[b]]
 
     def inv(self, a: int) -> int:
         if a == 0:
             raise ZeroDivisionError("0 has no multiplicative inverse")
-        p = self.p
         if self.m == 1:
-            return pow(a, p - 2, p)
-        # Extended Euclid on (a, modulus); the gcd is a nonzero constant
-        # because the modulus is irreducible.
-        r0, r1 = list(self.modulus), _ptrim(self._digits(a))
-        t0: list[int] = []
-        t1: list[int] = [1]
-        while r1:
-            quo, rem = _pdivmod(r0, r1, p)
-            r0, r1 = r1, rem
-            t0, t1 = t1, _psub(t0, _pmul(quo, t1, p), p)
-        c_inv = pow(r0[0], -1, p)
-        coeffs = [x * c_inv % p for x in t0]
-        coeffs += [0] * (self.m - len(coeffs))
-        return self._index(coeffs)
+            return pow(a, self.p - 2, self.p)
+        exp, log, _, _ = self._tables
+        return exp[self.q - 1 - log[a]]
 
 
 def make_field(p: int, m: int = 1) -> Field:

@@ -215,13 +215,6 @@ class C4FreeFamily:
                 out.append((idx, r))
         return out
 
-    def blocked(self, cand: GenLine) -> bool:
-        """Would adding cand close a C4 of lines?"""
-        if cand in self.lines:
-            return False
-        hits = self._intersections(cand)
-        return self._walk_closes_c4(hits)
-
     def _walk_closes_c4(self, hits: list[tuple[int, Point]]) -> bool:
         by_line = dict(hits)
         for a, pa in hits:

@@ -7,9 +7,15 @@ import random
 from pathlib import Path
 
 import girthforge
-from girthforge.gf import Field
+from girthforge.gf import Field, _pdivmod, _ptrim
 from girthforge.graph import BiGraph, from_edges
-from girthforge.lines4 import SAME_LINE, GenLine, canonical_genline, intersect
+from girthforge.lines4 import (
+    SAME_LINE,
+    C4FreeFamily,
+    GenLine,
+    canonical_genline,
+    intersect,
+)
 from girthforge.moment import Point
 
 # Environment for a `python -m girthforge` child process: it imports the
@@ -135,3 +141,93 @@ def points_on_genline(field: Field, line: GenLine) -> list[Point]:
         tuple(field.add(b, field.mul(y, d)) for b, d in zip(line.base, line.dir))
         for y in field.elements()
     ]
+
+
+def blocked(family: C4FreeFamily, cand: GenLine) -> bool:
+    """Would adding cand to the family close a C4 of lines?"""
+    if cand in family.lines:
+        return False
+    return family._walk_closes_c4(family._intersections(cand))
+
+
+def _pmul(a: list[int], b: list[int], p: int) -> list[int]:
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        if ai:
+            for j, bj in enumerate(b):
+                out[i + j] = (out[i + j] + ai * bj) % p
+    return _ptrim(out)
+
+
+def _psub(a: list[int], b: list[int], p: int) -> list[int]:
+    n = max(len(a), len(b))
+    out = [0] * n
+    for i in range(n):
+        ai = a[i] if i < len(a) else 0
+        bi = b[i] if i < len(b) else 0
+        out[i] = (ai - bi) % p
+    return _ptrim(out)
+
+
+class PolyField:
+    """GF(p^m) arithmetic on base-p digits, polynomial by polynomial.
+
+    The oracle for the table-driven extension-field arithmetic of
+    gf.Field: the same element encoding and modulus, but digit-wise
+    addition, schoolbook multiplication with reduction by the monic
+    modulus, and inversion by extended Euclid.
+    """
+
+    def __init__(self, p: int, m: int, modulus: tuple[int, ...]):
+        self.p, self.m, self.modulus = p, m, modulus
+
+    def _digits(self, a: int) -> list[int]:
+        out = []
+        for _ in range(self.m):
+            out.append(a % self.p)
+            a //= self.p
+        return out
+
+    def _index(self, coeffs: list[int]) -> int:
+        v = 0
+        for c in reversed(coeffs):
+            v = v * self.p + c
+        return v
+
+    def add(self, a: int, b: int) -> int:
+        p = self.p
+        return self._index(
+            [(x + y) % p for x, y in zip(self._digits(a), self._digits(b))]
+        )
+
+    def sub(self, a: int, b: int) -> int:
+        p = self.p
+        return self._index(
+            [(x - y) % p for x, y in zip(self._digits(a), self._digits(b))]
+        )
+
+    def neg(self, a: int) -> int:
+        return self.sub(0, a)
+
+    def mul(self, a: int, b: int) -> int:
+        p = self.p
+        prod = _pmul(self._digits(a), self._digits(b), p)
+        return self._index(_pdivmod(prod, list(self.modulus), p)[1])
+
+    def inv(self, a: int) -> int:
+        if a == 0:
+            raise ZeroDivisionError("0 has no multiplicative inverse")
+        p = self.p
+        # Extended Euclid on (a, modulus); the gcd is a nonzero constant
+        # because the modulus is irreducible.
+        r0, r1 = list(self.modulus), _ptrim(self._digits(a))
+        t0: list[int] = []
+        t1: list[int] = [1]
+        while r1:
+            quo, rem = _pdivmod(r0, r1, p)
+            r0, r1 = r1, rem
+            t0, t1 = t1, _psub(t0, _pmul(quo, t1, p), p)
+        c_inv = pow(r0[0], -1, p)
+        return self._index([x * c_inv % p for x in t0])

@@ -23,7 +23,13 @@ from girthforge.verify import (
     max_l4_paths,
     witness_directions,
 )
-from helpers import CLI_ENV, brute_force_line_c4, random_bipartite, random_genline
+from helpers import (
+    CLI_ENV,
+    blocked,
+    brute_force_line_c4,
+    random_bipartite,
+    random_genline,
+)
 from test_lines4 import GREEDY_F2_SEED0_SIZE
 
 # q ranges are prime powers only; 6 is not a field order.
@@ -177,7 +183,7 @@ def test_line_c4_detector_and_greedy():
         assert rebuilt.try_add(line)
     for line in all_genlines(field):
         if line not in set(fam):
-            assert rebuilt.blocked(line)
+            assert blocked(rebuilt, line)
     _report("line-c4-detector-and-greedy")
 
 

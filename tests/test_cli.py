@@ -1,3 +1,4 @@
+import hashlib
 import re
 import subprocess
 import sys
@@ -145,6 +146,23 @@ def test_huge_prime_is_refused_by_size_at_once(monkeypatch, capsys):
     assert capsys.readouterr().err == (
         "error: field order 1000000000000000003^1 exceeds cap 1048576\n"
     )
+
+
+# sha256 of `generate` output; these fix the element encoding and modulus.
+GENERATE_SHA256 = {
+    (3, 2, 3): "9eaa120ce2bb51e8cbe2655be9b7f8976801829805a0d004d731cf43ad09b2c6",
+    (2, 3, 4): "76bd156cf156e44283b3c76448635eb6c5c872f010b5475c1f9bf5de34f1424f",
+    (5, 2, 2): "5606c1cf11bd3e132a1950a2d30b1e519a329286fe01741f622384176eb49c80",
+    (2, 4, 3): "cf83a351bfa48e9a964068d8150ca8b33cdb502529e33ad25097c717337c9a8d",
+}
+
+
+@pytest.mark.parametrize("p, m, k", list(GENERATE_SHA256))
+def test_generate_output_is_pinned(tmp_path, capsys, p, m, k):
+    out = tmp_path / "g.txt"
+    argv = ["generate", "--p", str(p), "--m", str(m), "--k", str(k), "--out", str(out)]
+    assert main(argv) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == GENERATE_SHA256[p, m, k]
 
 
 def test_main_io_error_exit_2(capsys):

@@ -1,12 +1,16 @@
+import contextlib
 import itertools
+import random
+import signal
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from girthforge import gf
 from girthforge.errors import SizeLimitError
 from girthforge.gf import Field, is_prime, make_field
-from helpers import field_pow
+from helpers import PolyField, field_pow
 
 PRIME_POWERS_81 = [
     (p, m)
@@ -169,3 +173,75 @@ def test_axioms_sampled_large_fields(data):
     if a:
         assert f.mul(a, f.inv(a)) == 1
         assert field_pow(f, a, f.q - 1) == 1
+
+
+def _assert_matches_oracle(f: Field, pairs, singles) -> None:
+    o = PolyField(f.p, f.m, f.modulus)
+    for a, b in pairs:
+        assert f.add(a, b) == o.add(a, b), (f, a, b)
+        assert f.sub(a, b) == o.sub(a, b), (f, a, b)
+        assert f.mul(a, b) == o.mul(a, b), (f, a, b)
+    for a in singles:
+        assert f.neg(a) == o.neg(a), (f, a)
+        if a:
+            assert f.inv(a) == o.inv(a), (f, a)
+
+
+@pytest.mark.parametrize("p,m", [pm for pm in PRIME_POWERS_81 if pm[1] > 1])
+def test_tables_match_polynomial_oracle_exhaustive(p, m):
+    f = make_field(p, m)
+    _assert_matches_oracle(f, itertools.product(f.elements(), repeat=2), f.elements())
+
+
+@pytest.mark.parametrize("p,m", [(2, 8), (3, 4), (5, 3), (2, 11)])
+def test_tables_match_polynomial_oracle_sampled(p, m):
+    f = make_field(p, m)
+    rng = random.Random(p * 100 + m)
+    pairs = [(rng.randrange(f.q), rng.randrange(f.q)) for _ in range(2000)]
+    _assert_matches_oracle(f, pairs, [a for a, _ in pairs])
+
+
+def test_tables_are_built_lazily_once(monkeypatch):
+    builds = []
+    real = gf._build_tables
+
+    def counting(*args):
+        builds.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(gf, "_build_tables", counting)
+    make_field(2, 16)
+    assert builds == []
+    f9 = make_field(3, 2)
+    f9.mul(2, 3)
+    f9.mul(4, 5)
+    assert len(builds) == 1
+    f7 = make_field(7)
+    for a in range(1, 7):
+        f7.add(a, 3)
+        f7.sub(a, 3)
+        f7.mul(a, 3)
+        f7.neg(a)
+        f7.inv(a)
+    assert len(builds) == 1
+
+
+class _Hung(BaseException):
+    pass
+
+
+def test_negative_operand_returns_or_raises():
+    # Operands outside [0, q) give unspecified results, but never a hang.
+    def hung(signum, frame):
+        raise _Hung
+
+    f4 = make_field(2, 2)
+    previous = signal.signal(signal.SIGALRM, hung)
+    signal.alarm(5)
+    try:
+        for call in (lambda: f4.add(-1, 0), lambda: f4.sub(0, -1), lambda: f4.add(-1, 1)):
+            with contextlib.suppress(Exception):
+                call()
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)

@@ -25,7 +25,7 @@ from girthforge.lines4 import (
     write_family,
 )
 from girthforge.verify import count_cycles
-from helpers import brute_force_line_c4, points_on_genline, random_genline
+from helpers import blocked, brute_force_line_c4, points_on_genline, random_genline
 
 F2 = make_field(2)
 F3 = make_field(3)
@@ -210,7 +210,7 @@ def test_greedy_is_maximal():
         assert rebuilt.try_add(line)
     rejected = [l for l in all_genlines(F2) if l not in members]
     for line in rejected:
-        assert rebuilt.blocked(line)
+        assert blocked(rebuilt, line)
     # spot-check the incremental verdict against the full detector
     rng = random.Random(5)
     for line in rng.sample(rejected, 10):
