@@ -7,6 +7,17 @@ so any int >= nP names a line. Adjacency is kept sorted on both sides,
 which makes traversals cheap from either side and every exported
 artifact byte-reproducible.
 
+The L rows come from integer id tables. A line of direction z is the
+line through the origin, {y * (1, z, ..., z^(k-1))}, translated by its
+base (0, b_1, ..., b_(k-1)), so its y-th point has id
+y + sum over i >= 1 of (b_i + y * z^i) * q^i. For each z and each
+coordinate i >= 1 the q lists [(c + y * z^i) * q^i for y], one for
+each c, are made once from the origin line's points; a line's ids are
+then y plus the element-wise sum of the lists its base digits pick.
+The same rows certify a graph: one that carries (field, k) is the
+moment graph exactly when its L rows equal them, row by row. The
+searches in ``verify`` rest every symmetry they use on that one check.
+
 Edge-list file format ``girthforge-v1``::
 
     girthforge-v1 p=<p> m=<m> k=<k> nP=<nP> nL=<nL> e=<E>
@@ -18,18 +29,21 @@ A bare variant drops the header for third-party tools.
 
 from __future__ import annotations
 
-from collections import Counter
+import operator
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import product
 from typing import IO, Iterable, Iterator
 
 from girthforge.gf import Field, make_field
 from girthforge.moment import (
+    K_MAX,
+    K_MIN,
+    LINE_CAP,
     MomentLine,
     Point,
-    base_q_digits,
     check_k,
-    enumerate_lines,
+    check_lines,
     points_on,
 )
 
@@ -41,14 +55,14 @@ class BiGraph:
     """Immutable bipartite graph with sorted dual adjacency.
 
     adjP[p] holds global L ids (>= nP); adjL[l] holds P ids. meta is
-    (p, m, k) for built incidence graphs and None for ad-hoc fixtures.
+    (field, k) for built incidence graphs and None for ad-hoc fixtures.
     """
 
     nP: int
     nL: int
     adjP: tuple[tuple[int, ...], ...]
     adjL: tuple[tuple[int, ...], ...]
-    meta: tuple[int, int, int] | None = None
+    meta: tuple[Field, int] | None = None
 
     def edge_count(self) -> int:
         return sum(len(a) for a in self.adjP)
@@ -63,38 +77,24 @@ class BiGraph:
                 yield p, l
 
     @cached_property
-    def translation_invariant(self) -> bool:
-        """True if every translation x -> x + t of GF(q)^k permutes the L rows.
+    def is_moment_graph(self) -> bool:
+        """True if this is the moment graph of its (field, k) metadata.
 
-        Then the translations are automorphisms that act regularly on P, so
-        P vertex 0 stands for every P vertex. They are generated by the
-        k*m vectors with the field element p^j in coordinate i, so only
-        those are tried. Rows are compared as a multiset: with a set, a
-        graph with repeated rows could pass without being mapped onto itself.
-        The answer is computed once per graph and dies with it.
+        That holds exactly when nP = nL = q^k and every L row equals the
+        row moment_rows makes for it; the rows are streamed, not stored.
+        Every symmetry the searches use follows from the construction's
+        algebra: translations x -> x + t map each line to a parallel
+        line and act regularly on P, so on the moment graph P vertex 0
+        stands for every P vertex. Metadata no moment graph can have,
+        or a size past the line cap, gives False; the check never
+        raises. The answer is computed once per graph and dies with it.
         """
         if self.meta is None:
             return False
-        p, m, k = self.meta
-        try:
-            field = make_field(p, m)
-        except ValueError:
+        field, k = self.meta
+        if not (K_MIN <= k <= K_MAX and self.nP == self.nL == field.q**k <= LINE_CAP):
             return False
-        if self.nP != field.q**k:
-            return False
-        points = [id_point(field, k, v) for v in range(self.nP)]
-        rows = Counter(self.adjL)
-        for i in range(k):
-            for j in range(m):
-                t = p**j
-                pi = [
-                    point_id(field, x[:i] + (field.add(x[i], t),) + x[i + 1 :])
-                    for x in points
-                ]
-                moved = Counter(tuple(sorted(pi[v] for v in row)) for row in self.adjL)
-                if moved != rows:
-                    return False
-        return True
+        return all(map(operator.eq, self.adjL, moment_rows(field, k)))
 
 
 @dataclass(frozen=True)
@@ -114,10 +114,6 @@ def point_id(field: Field, pt: Point) -> int:
     return v
 
 
-def id_point(field: Field, k: int, pid: int) -> Point:
-    return base_q_digits(pid, field.q, k)
-
-
 def line_id(field: Field, line: MomentLine) -> int:
     """Local L id in [0, q^k); the global vertex id adds nP = q^k."""
     if line.base[0] != 0:
@@ -125,29 +121,37 @@ def line_id(field: Field, line: MomentLine) -> int:
     return line.z * field.q ** (len(line.base) - 1) + point_id(field, line.base[1:])
 
 
-def id_line(field: Field, k: int, lid: int) -> MomentLine:
-    z, rest = divmod(lid, field.q ** (k - 1))
-    return MomentLine(z, (0, *id_point(field, k - 1, rest)))
+def moment_rows(field: Field, k: int) -> Iterator[tuple[int, ...]]:
+    """Each L row's sorted point ids, in L-id order (see the module docstring)."""
+    check_lines(field, k)
+    q = field.q
+    ys = range(q)
+    for z in field.elements():
+        origin = points_on(field, MomentLine(z, (0,) * k))
+        tables = [
+            [[field.add(c, pt[i]) * q**i for pt in origin] for c in ys]
+            for i in range(1, k)
+        ]
+        # The last digit varies slowest, matching the L-id order.
+        for picks in product(*reversed(tables)):
+            yield tuple(sorted(map(sum, zip(ys, *picks))))
 
 
 def build(field: Field, k: int) -> BiGraph:
     """Assemble the incidence graph between GF(q)^k and its moment lines."""
-    lines = enumerate_lines(field, k)
-    n = len(lines)
+    adj_l = tuple(moment_rows(field, k))
+    n = len(adj_l)
     adj_p: list[list[int]] = [[] for _ in range(n)]
-    adj_l: list[tuple[int, ...]] = []
-    for lid, line in enumerate(lines):
-        pids = sorted(point_id(field, pt) for pt in points_on(field, line))
-        adj_l.append(tuple(pids))
-        for pid in pids:
-            adj_p[pid].append(n + lid)
+    for lid, row in enumerate(adj_l, n):
+        for pid in row:
+            adj_p[pid].append(lid)
     # lids were visited in ascending order, so each adj_p row is sorted.
     return BiGraph(
         nP=n,
         nL=n,
         adjP=tuple(tuple(row) for row in adj_p),
-        adjL=tuple(adj_l),
-        meta=(field.p, field.m, k),
+        adjL=adj_l,
+        meta=(field, k),
     )
 
 
@@ -155,7 +159,7 @@ def from_edges(
     nP: int,
     nL: int,
     pairs: Iterable[tuple[int, int]],
-    meta: tuple[int, int, int] | None = None,
+    meta: tuple[Field, int] | None = None,
 ) -> BiGraph:
     """Build a BiGraph from (P-id, local L-id) pairs; duplicates collapse."""
     adj_p: list[set[int]] = [set() for _ in range(nP)]
@@ -194,10 +198,11 @@ def to_text(g: BiGraph, fmt: str = "v1") -> str:
     lines = []
     if fmt == "v1":
         if g.meta is None:
-            raise ValueError("v1 export needs (p, m, k) metadata; use bare")
-        p, m, k = g.meta
+            raise ValueError("v1 export needs (field, k) metadata; use bare")
+        field, k = g.meta
         lines.append(
-            f"{FORMAT_V1} p={p} m={m} k={k} nP={g.nP} nL={g.nL} e={g.edge_count()}"
+            f"{FORMAT_V1} p={field.p} m={field.m} k={k} "
+            f"nP={g.nP} nL={g.nL} e={g.edge_count()}"
         )
     lines.extend(f"{p} {l}" for p, l in g.edges())
     return "\n".join(lines) + "\n"
@@ -250,9 +255,9 @@ def parse(text: str) -> BiGraph:
         text, FORMAT_V1, ("p", "m", "k", "nP", "nL", "e"), "e"
     )
     p, m, k, nP, nL = kv["p"], kv["m"], kv["k"], kv["nP"], kv["nL"]
-    q = make_field(p, m).q
+    field = make_field(p, m)
     check_k(k)
-    if not nP == nL == q**k:
+    if not nP == nL == field.q**k:
         raise ValueError(f"nP={nP} nL={nL} do not match (p^m)^k for p={p} m={m} k={k}")
     end = nP + nL
     pairs = []
@@ -268,4 +273,4 @@ def parse(text: str) -> BiGraph:
         if pairs and pair <= pairs[-1]:
             raise ValueError(f"edge {ln!r} is not strictly after the edge before it")
         pairs.append(pair)
-    return from_edges(nP, nL, pairs, meta=(p, m, k))
+    return from_edges(nP, nL, pairs, meta=(field, k))

@@ -72,48 +72,17 @@ def points_on(field: Field, line: MomentLine) -> list[Point]:
     ]
 
 
-def parallel(l1: MomentLine, l2: MomentLine) -> bool:
-    return l1.z == l2.z
-
-
-def vandermonde_rank(field: Field, zs: tuple[int, ...], k: int) -> int:
-    """Rank over GF(q) of the matrix whose rows are moment vectors of zs.
-
-    Gaussian elimination with first-nonzero pivoting. Distinct zs are
-    required; a repeat is rejected rather than silently dropping rank.
-    """
+def check_lines(field: Field, k: int) -> None:
+    """Raise unless k is in range and the q^k lines fit under LINE_CAP."""
     check_k(k)
-    zs = tuple(zs)
-    if len(set(zs)) != len(zs):
-        raise ValueError(f"direction parameters must be distinct, got {zs}")
-    if len(zs) > k:
-        raise ValueError(f"at most {k} rows fit an ambient dimension of {k}")
-    rows = [list(moment_vector(field, z, k)) for z in zs]
-    rank = 0
-    for col in range(k):
-        piv = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
-        if piv is None:
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        inv = field.inv(rows[rank][col])
-        for r in range(len(rows)):
-            if r != rank and rows[r][col]:
-                f = field.mul(rows[r][col], inv)
-                rows[r] = [
-                    field.sub(a, field.mul(f, b)) for a, b in zip(rows[r], rows[rank])
-                ]
-        rank += 1
-        if rank == len(rows):
-            break
-    return rank
+    if field.q**k > LINE_CAP:
+        raise SizeLimitError(f"q^k = {field.q**k} exceeds line cap {LINE_CAP}")
 
 
 def enumerate_lines(field: Field, k: int) -> list[MomentLine]:
     """All q^k canonical lines, ordered by (z, base-q encoding of base)."""
-    check_k(k)
+    check_lines(field, k)
     q = field.q
-    if q**k > LINE_CAP:
-        raise SizeLimitError(f"q^k = {q**k} exceeds line cap {LINE_CAP}")
     return [
         MomentLine(z, (0, *base_q_digits(b, q, k - 1)))
         for z in range(q)

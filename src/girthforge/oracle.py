@@ -1,16 +1,14 @@
 """Deliberately naive cross-checks for the fast counters.
 
-These reimplementations share no traversal or arithmetic code with the
-primary paths: cycle counting walks raw vertex sequences and divides
-out the symmetry, path counting is a literal triple loop, and the
-moment-matrix check is the closed-form product of differences. They
-exist to disagree loudly, not to be fast.
+These reimplementations share no traversal code with the primary
+paths: cycle counting walks raw vertex sequences and divides out the
+symmetry, and path counting is a literal triple loop. They exist to
+disagree loudly, not to be fast.
 """
 
 from __future__ import annotations
 
 from girthforge.errors import SizeLimitError
-from girthforge.gf import Field
 from girthforge.graph import BiGraph
 
 NAIVE_VERTEX_CAP = 100
@@ -66,23 +64,3 @@ def naive_l4_paths(g: BiGraph, p: int, p2: int) -> int:
                 if p2 in g.adjL[l2 - g.nP]:
                     count += 1
     return count
-
-
-def vandermonde_det_formula(
-    field: Field, zs: tuple[int, ...], k: int | None = None
-) -> int:
-    """Product of pairwise differences of zs in GF(q).
-
-    This is the determinant of the square moment matrix on len(zs)
-    nodes; it is nonzero exactly when the nodes are distinct, which is
-    what makes the full-rank verdict of the elimination path checkable
-    without elimination. If k is given, len(zs) must equal it.
-    """
-    zs = tuple(zs)
-    if k is not None and len(zs) != k:
-        raise ValueError(f"expected {k} nodes, got {len(zs)}")
-    det = 1
-    for i in range(len(zs)):
-        for j in range(i + 1, len(zs)):
-            det = field.mul(det, field.sub(zs[j], zs[i]))
-    return det

@@ -1,4 +1,4 @@
-"""Structural checks on bipartite graphs: C4 detection, girth, exact
+"""Structural checks on bipartite graphs: C4 detection, exact
 fixed-length cycle counts and the length-4 path statistic.
 
 Cycle counting uses a canonical enumeration so each cycle is produced
@@ -9,24 +9,23 @@ kept. With sorted adjacency the first cycle found is therefore the
 lexicographically smallest witness. P ids sort below L ids, so every
 cycle is rooted at a P vertex.
 
-One rule picks the roots of every search. When the translations of
-GF(q)^k map a graph onto itself (checked on the graph once, by
-``BiGraph.translation_invariant``, not assumed from its metadata), the
-C4 scan, the cycle counts and the length-4 path maximum start from P
-vertex 0 alone; otherwise they start from every P vertex.
+One rule picks the roots of every search. When a graph is certified as
+the moment graph of its metadata (checked on the graph once, by
+``BiGraph.is_moment_graph``, not assumed from the metadata), the
+translations of GF(q)^k are automorphisms that act regularly on P, and
+the C4 scan, the cycle counts and the length-4 path maximum start from
+P vertex 0 alone; otherwise they start from every P vertex.
 """
 
 from __future__ import annotations
 
-import math
-import time
-from collections import Counter, deque
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterator
 
 from girthforge.errors import SizeLimitError
 from girthforge.gf import Field
-from girthforge.graph import BiGraph, build, id_line
+from girthforge.graph import BiGraph, build
 
 CycleWitness = tuple[int, ...]
 
@@ -38,7 +37,6 @@ BIG_CYCLE_VERTEX_CAP = 8192
 class ClaimResult:
     name: str
     passed: bool
-    millis: float
     witness: CycleWitness | None = None
     detail: str = ""
 
@@ -51,13 +49,12 @@ class VerifyReport:
     def passed(self) -> bool:
         return all(c.passed for c in self.claims)
 
-    def render(self, timings: bool = False) -> str:
-        # Timings are suppressed by default so identical runs emit
-        # identical bytes; pass timings=True for profiling output.
+    def render(self) -> str:
+        # The third column is a fixed "-", so identical runs emit
+        # identical bytes.
         out = []
         for c in self.claims:
-            t = f"{c.millis:.0f}" if timings else "-"
-            line = f"{c.name} {'PASS' if c.passed else 'FAIL'} {t}"
+            line = f"{c.name} {'PASS' if c.passed else 'FAIL'} -"
             if c.witness:
                 line += " witness=" + ",".join(map(str, c.witness))
             out.append(line)
@@ -79,10 +76,10 @@ def validate_cycle(g: BiGraph, w: CycleWitness) -> CycleWitness:
 def _roots(g: BiGraph) -> range:
     """The P vertices a search starts from.
 
-    Translations act regularly on P, so on a translation-invariant graph
-    every P vertex looks like P vertex 0 and 0 alone is searched.
+    Translations act regularly on P, so on the moment graph every P
+    vertex looks like P vertex 0 and 0 alone is searched.
     """
-    return range(1 if g.translation_invariant else g.nP)
+    return range(1 if g.is_moment_graph else g.nP)
 
 
 def find_c4(g: BiGraph) -> CycleWitness | None:
@@ -90,9 +87,9 @@ def find_c4(g: BiGraph) -> CycleWitness | None:
 
     From a root p, each point reached through a line of p is mapped to
     that line; a second line of p reaching the same point closes the C4
-    (p, l1, p2, l2). Every C4 passes through some P vertex, and on a
-    translation-invariant graph through P vertex 0. The scan costs
-    O(sum deg^2) over all roots and holds one root's O(deg^2) points.
+    (p, l1, p2, l2). Every C4 passes through some P vertex, and on the
+    moment graph through P vertex 0. The scan costs O(sum deg^2) over
+    all roots and holds one root's O(deg^2) points.
     """
     nP = g.nP
     for p in _roots(g):
@@ -105,30 +102,6 @@ def find_c4(g: BiGraph) -> CycleWitness | None:
                 if l1 != l2:
                     return validate_cycle(g, (p, l1, p2, l2))
     return None
-
-
-def girth(g: BiGraph) -> int | float:
-    """Length of the shortest cycle via BFS from every vertex; inf if none."""
-    best: int | float = math.inf
-    for root in range(g.nP + g.nL):
-        dist = {root: 0}
-        parent = {root: -1}
-        queue = deque([root])
-        while queue:
-            u = queue.popleft()
-            # Any candidate through u is at least 2*dist[u] long.
-            if 2 * dist[u] >= best:
-                break
-            for w in g.neighbors(u):
-                if w not in dist:
-                    dist[w] = dist[u] + 1
-                    parent[w] = u
-                    queue.append(w)
-                elif w != parent[u]:
-                    cand = dist[u] + dist[w] + 1
-                    if cand < best:
-                        best = cand
-    return best
 
 
 def _check_cycle_length(g: BiGraph, length: int) -> None:
@@ -181,9 +154,9 @@ def iter_cycles(g: BiGraph, length: int) -> Iterator[CycleWitness]:
 def count_cycles(g: BiGraph, length: int) -> tuple[int, CycleWitness | None]:
     """Exact count of simple cycles of the given length plus a witness.
 
-    On a translation-invariant graph only the cycles through P vertex 0
-    are enumerated: each P vertex lies on the same number c0 of them
-    and each cycle has length/2 P vertices, so the total is
+    On the moment graph only the cycles through P vertex 0 are
+    enumerated: each P vertex lies on the same number c0 of them and
+    each cycle has length/2 P vertices, so the total is
     nP * c0 / (length/2). Vertex 0 has the smallest id, so the first of
     them is also the first cycle of the full enumeration.
     """
@@ -196,7 +169,7 @@ def count_cycles(g: BiGraph, length: int) -> tuple[int, CycleWitness | None]:
         count += 1
         if first is None:
             first = w
-    if not g.translation_invariant:
+    if not g.is_moment_graph:
         return count, first
     total, rem = divmod(g.nP * count, length // 2)
     if rem:
@@ -228,7 +201,7 @@ def max_l4_paths(g: BiGraph) -> tuple[int, tuple[int, int] | None]:
 
     Returns (max count, first pair attaining it). Translations keep path
     counts, and the one by -p takes the pair (p, p') to a pair (0, p'').
-    So on an invariant graph row 0 holds the maximum, and its first pair
+    So on the moment graph row 0 holds the maximum, and its first pair
     attaining it is the full scan's first.
     """
     best = 0
@@ -243,14 +216,6 @@ def max_l4_paths(g: BiGraph) -> tuple[int, tuple[int, int] | None]:
     return best, arg
 
 
-def witness_directions(field: Field, g: BiGraph, w: CycleWitness) -> list[int]:
-    """Direction parameters of the witness's lines, in cycle order."""
-    if g.meta is None:
-        raise ValueError("graph carries no (p, m, k) metadata")
-    k = g.meta[2]
-    return [id_line(field, k, v - g.nP).z for v in w if v >= g.nP]
-
-
 def construction_report(g: BiGraph) -> VerifyReport:
     """Check the incidence graph against its structural claims.
 
@@ -259,15 +224,12 @@ def construction_report(g: BiGraph) -> VerifyReport:
     """
     if g.meta is None:
         raise ValueError("construction_report needs a graph built with metadata")
-    p, m, k = g.meta
-    q = p**m
+    field, k = g.meta
+    q = field.q
     claims: list[ClaimResult] = []
 
     def run(name: str, fn) -> None:
-        t0 = time.perf_counter()
-        passed, witness, detail = fn()
-        ms = (time.perf_counter() - t0) * 1000.0
-        claims.append(ClaimResult(name, passed, ms, witness, detail))
+        claims.append(ClaimResult(name, *fn()))
 
     def check_order():
         ok = g.nP == q**k and g.nL == q**k

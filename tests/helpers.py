@@ -2,13 +2,15 @@
 
 from __future__ import annotations
 
+import math
 import os
 import random
+from collections import deque
 from pathlib import Path
 
 import girthforge
 from girthforge.gf import Field, _pdivmod, _ptrim
-from girthforge.graph import BiGraph, from_edges
+from girthforge.graph import BiGraph, from_edges, point_id
 from girthforge.lines4 import (
     SAME_LINE,
     C4FreeFamily,
@@ -16,7 +18,16 @@ from girthforge.lines4 import (
     canonical_genline,
     intersect,
 )
-from girthforge.moment import Point
+from girthforge.moment import (
+    MomentLine,
+    Point,
+    base_q_digits,
+    check_k,
+    enumerate_lines,
+    moment_vector,
+    points_on,
+)
+from girthforge.verify import CycleWitness
 
 # Environment for a `python -m girthforge` child process: it imports the
 # same girthforge as the tests, whether or not the package is installed.
@@ -231,3 +242,124 @@ class PolyField:
             t0, t1 = t1, _psub(t0, _pmul(quo, t1, p), p)
         c_inv = pow(r0[0], -1, p)
         return self._index([x * c_inv % p for x in t0])
+
+
+def id_point(field: Field, k: int, pid: int) -> Point:
+    return base_q_digits(pid, field.q, k)
+
+
+def id_line(field: Field, k: int, lid: int) -> MomentLine:
+    z, rest = divmod(lid, field.q ** (k - 1))
+    return MomentLine(z, (0, *id_point(field, k - 1, rest)))
+
+
+def build_from_points(field: Field, k: int) -> BiGraph:
+    """The incidence graph assembled point by point, line by line.
+
+    The reference for graph.build: every line from enumerate_lines, every
+    point from points_on, every id from point_id.
+    """
+    lines = enumerate_lines(field, k)
+    n = len(lines)
+    adj_p: list[list[int]] = [[] for _ in range(n)]
+    adj_l: list[tuple[int, ...]] = []
+    for lid, line in enumerate(lines):
+        pids = sorted(point_id(field, pt) for pt in points_on(field, line))
+        adj_l.append(tuple(pids))
+        for pid in pids:
+            adj_p[pid].append(n + lid)
+    return BiGraph(
+        nP=n,
+        nL=n,
+        adjP=tuple(tuple(row) for row in adj_p),
+        adjL=tuple(adj_l),
+        meta=(field, k),
+    )
+
+
+def witness_directions(g: BiGraph, w: CycleWitness) -> list[int]:
+    """Direction parameters of the witness's lines, in cycle order."""
+    if g.meta is None:
+        raise ValueError("graph carries no (field, k) metadata")
+    field, k = g.meta
+    return [id_line(field, k, v - g.nP).z for v in w if v >= g.nP]
+
+
+def girth(g: BiGraph) -> int | float:
+    """Length of the shortest cycle via BFS from every vertex; inf if none."""
+    best: int | float = math.inf
+    for root in range(g.nP + g.nL):
+        dist = {root: 0}
+        parent = {root: -1}
+        queue = deque([root])
+        while queue:
+            u = queue.popleft()
+            # Any candidate through u is at least 2*dist[u] long.
+            if 2 * dist[u] >= best:
+                break
+            for w in g.neighbors(u):
+                if w not in dist:
+                    dist[w] = dist[u] + 1
+                    parent[w] = u
+                    queue.append(w)
+                elif w != parent[u]:
+                    cand = dist[u] + dist[w] + 1
+                    if cand < best:
+                        best = cand
+    return best
+
+
+def parallel(l1: MomentLine, l2: MomentLine) -> bool:
+    return l1.z == l2.z
+
+
+def vandermonde_rank(field: Field, zs: tuple[int, ...], k: int) -> int:
+    """Rank over GF(q) of the matrix whose rows are moment vectors of zs.
+
+    Gaussian elimination with first-nonzero pivoting. Distinct zs are
+    required; a repeat is rejected rather than silently dropping rank.
+    """
+    check_k(k)
+    zs = tuple(zs)
+    if len(set(zs)) != len(zs):
+        raise ValueError(f"direction parameters must be distinct, got {zs}")
+    if len(zs) > k:
+        raise ValueError(f"at most {k} rows fit an ambient dimension of {k}")
+    rows = [list(moment_vector(field, z, k)) for z in zs]
+    rank = 0
+    for col in range(k):
+        piv = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        inv = field.inv(rows[rank][col])
+        for r in range(len(rows)):
+            if r != rank and rows[r][col]:
+                f = field.mul(rows[r][col], inv)
+                rows[r] = [
+                    field.sub(a, field.mul(f, b)) for a, b in zip(rows[r], rows[rank])
+                ]
+        rank += 1
+        if rank == len(rows):
+            break
+    return rank
+
+
+def vandermonde_det_formula(
+    field: Field, zs: tuple[int, ...], k: int | None = None
+) -> int:
+    """Product of pairwise differences of zs in GF(q).
+
+    This is the determinant of the square moment matrix on len(zs)
+    nodes; it is nonzero exactly when the nodes are distinct, which is
+    what makes the full-rank verdict of the elimination path checkable
+    without elimination. If k is given, len(zs) must equal it.
+    """
+    zs = tuple(zs)
+    if k is not None and len(zs) != k:
+        raise ValueError(f"expected {k} nodes, got {len(zs)}")
+    det = 1
+    for i in range(len(zs)):
+        for j in range(i + 1, len(zs)):
+            det = field.mul(det, field.sub(zs[j], zs[i]))
+    return det

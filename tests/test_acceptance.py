@@ -13,22 +13,18 @@ import pytest
 from girthforge.gf import is_prime, make_field
 from girthforge.graph import build
 from girthforge.lines4 import C4FreeFamily, all_genlines, greedy_c4free, has_line_c4
-from girthforge.moment import vandermonde_rank
-from girthforge.oracle import naive_cycle_count, vandermonde_det_formula
-from girthforge.verify import (
-    count_cycles,
-    find_c4,
-    girth,
-    iter_cycles,
-    max_l4_paths,
-    witness_directions,
-)
+from girthforge.oracle import naive_cycle_count
+from girthforge.verify import count_cycles, find_c4, iter_cycles, max_l4_paths
 from helpers import (
     CLI_ENV,
     blocked,
     brute_force_line_c4,
+    girth,
     random_bipartite,
     random_genline,
+    vandermonde_det_formula,
+    vandermonde_rank,
+    witness_directions,
 )
 from test_lines4 import GREEDY_F2_SEED0_SIZE
 
@@ -149,9 +145,8 @@ def test_cycle_parallel_structure(built):
     total = forced = 0
     for k, q, length in runs:
         g = graphs[(k, q)]
-        field = _field_for(q)
         for w in iter_cycles(g, length):
-            zs = witness_directions(field, g, w)
+            zs = witness_directions(g, w)
             t = len(zs)
             # consecutive lines around a cycle are never parallel
             assert all(zs[i] != zs[(i + 1) % t] for i in range(t)), (k, q, w)

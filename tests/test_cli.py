@@ -122,7 +122,7 @@ def test_claim_failure_exits_1(monkeypatch, capsys):
     import girthforge.cli as cli
 
     failing = VerifyReport(
-        (ClaimResult("edges", False, 0.0, None, "expected 27 edges, got 28"),)
+        (ClaimResult("edges", False, None, "expected 27 edges, got 28"),)
     )
     monkeypatch.setattr(cli, "verify_construction", lambda *a, **kw: failing)
     assert main(["verify", "--p", "3", "--k", "2"]) == 1
@@ -163,6 +163,29 @@ def test_generate_output_is_pinned(tmp_path, capsys, p, m, k):
     argv = ["generate", "--p", str(p), "--m", str(m), "--k", str(k), "--out", str(out)]
     assert main(argv) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == GENERATE_SHA256[p, m, k]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--p", "2", "--m", "3", "--k", "4"],
+        ["theta", "--p", "2", "--m", "2", "--k", "4"],
+    ],
+    ids=["verify", "theta"],
+)
+def test_field_tables_are_built_once_per_command(monkeypatch, capsys, argv):
+    from girthforge import gf
+
+    real = gf._build_tables
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(gf, "_build_tables", counting)
+    assert main(argv) == 0
+    assert len(calls) == 1
 
 
 def test_main_io_error_exit_2(capsys):

@@ -9,8 +9,6 @@ from girthforge.graph import (
     build,
     export,
     from_edges,
-    id_line,
-    id_point,
     line_id,
     parse,
     point_id,
@@ -18,7 +16,7 @@ from girthforge.graph import (
     to_text,
 )
 from girthforge.moment import MomentLine, enumerate_lines, points_on
-from helpers import validate_bigraph
+from helpers import build_from_points, id_line, id_point, validate_bigraph
 
 F2 = make_field(2)
 F3 = make_field(3)
@@ -220,6 +218,37 @@ def test_parse_reports_out_of_range_id_as_written():
 def test_build_size_cap():
     with pytest.raises(SizeLimitError):
         build(make_field(2, 12), 2)
+
+
+@pytest.mark.parametrize("k", [1, 9])
+def test_build_rejects_k_as_enumerate_lines_does(k):
+    with pytest.raises(ValueError) as built:
+        build(F2, k)
+    with pytest.raises(ValueError) as enumerated:
+        enumerate_lines(F2, k)
+    assert str(built.value) == str(enumerated.value)
+
+
+# Every (field, k) with 2 <= k <= 5 and q^k <= 2^16 over these fields.
+ROW_CASES = [
+    (make_field(p, m), k)
+    for p, m in ((2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2), (2, 4))
+    for k in range(2, 6)
+    if (p**m) ** k <= 1 << 16
+]
+
+
+@pytest.mark.parametrize("field,k", ROW_CASES, ids=[f"q{f.q}-k{k}" for f, k in ROW_CASES])
+def test_build_matches_build_from_points(field, k):
+    assert build(field, k) == build_from_points(field, k)
+
+
+@pytest.mark.parametrize(
+    "field,k", [(F2, 5), (F3, 3), (F4, 3), (F5, 2), (make_field(3, 2), 3)], ids=repr
+)
+def test_parsed_graph_is_certified(field, k):
+    g = parse(to_text(build(field, k)))
+    assert g.meta == (field, k) and g.is_moment_graph
 
 
 def test_from_edges_validation():

@@ -10,10 +10,9 @@ from girthforge.moment import (
     enumerate_lines,
     line_through,
     moment_vector,
-    parallel,
     points_on,
-    vandermonde_rank,
 )
+from helpers import parallel, vandermonde_rank
 
 F2 = make_field(2)
 F3 = make_field(3)

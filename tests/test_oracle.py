@@ -5,10 +5,18 @@ import pytest
 from girthforge.errors import SizeLimitError
 from girthforge.gf import make_field
 from girthforge.graph import build, from_edges
-from girthforge.moment import vandermonde_rank
-from girthforge.oracle import naive_cycle_count, naive_l4_paths, vandermonde_det_formula
+from girthforge.oracle import naive_cycle_count, naive_l4_paths
 from girthforge.verify import count_cycles, l4_path_counts_from, max_l4_paths
-from helpers import cycle_fixture, k22, k33, path_fixture, random_bipartite, star_fixture
+from helpers import (
+    cycle_fixture,
+    k22,
+    k33,
+    path_fixture,
+    random_bipartite,
+    star_fixture,
+    vandermonde_det_formula,
+    vandermonde_rank,
+)
 
 F2 = make_field(2)
 F3 = make_field(3)

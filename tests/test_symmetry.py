@@ -6,8 +6,10 @@ checked line by line: the image of every line's point set must be the
 point set of a line of the graph, with the direction the algebra
 predicts. Translations keep the direction z, the dilation
 x_i -> lam^i * x_i sends z to lam * z, and Frobenius x_i -> x_i^p sends
-z to z^p. This is the symmetry that rooted cycle counts and the rooted
-length-4 path maximum rely on, checked without the code that relies on it.
+z to z^p. The searches start from P vertex 0 alone on any graph that
+``BiGraph.is_moment_graph`` certifies; the translations checked here,
+with field operations and without the certificate's id tables, are what
+makes that sound.
 """
 
 from functools import lru_cache
@@ -15,8 +17,8 @@ from functools import lru_cache
 import pytest
 
 from girthforge.gf import make_field
-from girthforge.graph import build, id_line, id_point, point_id
-from helpers import field_pow
+from girthforge.graph import build, point_id
+from helpers import field_pow, id_line, id_point
 
 FIELDS = {3: (3, 1), 4: (2, 2), 5: (5, 1), 8: (2, 3)}
 CASES = [(q, k) for q in FIELDS for k in (2, 3, 4)]
