@@ -230,8 +230,8 @@ class Field:
         return exp[self.q - 1 - log[a]]
 
 
-def make_field(p: int, m: int = 1) -> Field:
-    """Build GF(p^m) with the deterministic smallest irreducible modulus."""
+def field_order(p: int, m: int) -> int:
+    """q = p^m after checking that GF(p^m) exists and fits under SIZE_CAP."""
     # Bound the size before trial division and before p**m: a header or
     # flag with a huge p or m would otherwise hang either one.
     if p > SIZE_CAP or m > SIZE_CAP.bit_length():
@@ -243,4 +243,10 @@ def make_field(p: int, m: int = 1) -> Field:
     q = p**m
     if q > SIZE_CAP:
         raise SizeLimitError(f"field order {q} exceeds cap {SIZE_CAP}")
+    return q
+
+
+def make_field(p: int, m: int = 1) -> Field:
+    """Build GF(p^m) with the deterministic smallest irreducible modulus."""
+    q = field_order(p, m)
     return Field(p=p, m=m, q=q, modulus=_smallest_irreducible(p, m))

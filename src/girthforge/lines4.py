@@ -5,12 +5,18 @@ scaled so its first nonzero coordinate (the pivot) is 1, and the base
 point is shifted along the line so its pivot coordinate is 0. Equal
 point sets then compare equal as tuples.
 
+Both searches treat a line as the set of its q points. Two distinct
+lines meet exactly when they share a point, so one index from each
+point to the lines through it gives every intersection of a family
+without solving a system per pair.
+
 A "C4 of lines" is four distinct lines whose consecutive pairs meet in
 four pairwise distinct points; equivalently an 8-cycle in the incidence
 graph between the lines and their multi-line points. The detector
-builds that graph and asks the cycle enumerator, while the greedy
-search keeps an incremental intersection index and only ever inspects
-the three-step alternating walks through a candidate line.
+reads those points off the index and asks the cycle enumerator. The
+greedy search keeps the index of its members, looks up a candidate's
+q points in it, and only ever inspects the three-step alternating
+walks through the candidate line.
 """
 
 from __future__ import annotations
@@ -19,14 +25,20 @@ import random
 from typing import IO, Iterable, NamedTuple
 
 from girthforge.errors import SizeLimitError
-from girthforge.gf import Field, make_field
+from girthforge.gf import Field, field_order, make_field
 from girthforge.graph import from_edges, read_headed_text
-from girthforge.moment import Point, base_q_digits, enumerate_lines, moment_vector
+from girthforge.moment import (
+    LINE_CAP,
+    Point,
+    base_q_digits,
+    enumerate_lines,
+    moment_vector,
+)
 from girthforge.verify import iter_cycles
 
 DIM = 4
 FAMILY_CAP = 1 << 16
-GREEDY_Q_CAP = 4
+GREEDY_Q_CAP = 8
 FAMILY_FORMAT = "girthforge-lines4"
 
 
@@ -53,10 +65,6 @@ class _SameLine:
 SAME_LINE = _SameLine()
 
 
-def pivot(line: GenLine) -> int:
-    return next(i for i, d in enumerate(line.dir) if d)
-
-
 def canonical_genline(field: Field, x: Point, d: Point) -> GenLine:
     """Canonicalize the line through x with direction d."""
     if len(x) != DIM or len(d) != DIM:
@@ -73,13 +81,13 @@ def canonical_genline(field: Field, x: Point, d: Point) -> GenLine:
     return GenLine(direction, base)
 
 
-def contains(field: Field, line: GenLine, pt: Point) -> bool:
-    # dir[pivot] = 1 and base[pivot] = 0 force the parameter value.
-    y = pt[pivot(line)]
-    return all(
-        pt[i] == field.add(line.base[i], field.mul(y, line.dir[i]))
-        for i in range(DIM)
-    )
+def points_of(field: Field, line: GenLine) -> list[Point]:
+    """The q distinct points base + y*dir of the line, in order of y."""
+    ys = field.elements()
+    coords = [
+        [field.add(b, field.mul(y, d)) for y in ys] for b, d in zip(line.base, line.dir)
+    ]
+    return list(zip(*coords))
 
 
 def intersect(field: Field, l1: GenLine, l2: GenLine):
@@ -159,9 +167,9 @@ def validate_line_c4(field: Field, w: LineC4Witness) -> LineC4Witness:
     if len(set(w.points)) != 4:
         raise ValueError("witness points not pairwise distinct")
     for i in range(4):
-        for line in (w.lines[i], w.lines[(i + 1) % 4]):
-            if not contains(field, line, w.points[i]):
-                raise ValueError(f"witness point {w.points[i]} not on {line}")
+        pair = (w.lines[i], w.lines[(i + 1) % 4])
+        if intersect(field, *pair) != w.points[i]:
+            raise ValueError(f"lines {pair} do not meet at {w.points[i]}")
     return w
 
 
@@ -174,15 +182,12 @@ def has_line_c4(field: Field, family: Iterable[GenLine]) -> LineC4Witness | None
     """
     fam = sorted(set(family))
     _check_family_size(len(fam))
-    hits: dict[Point, set[int]] = {}
-    for i in range(len(fam)):
-        for j in range(i + 1, len(fam)):
-            r = intersect(field, fam[i], fam[j])
-            if r is None or r is SAME_LINE:
-                continue
-            hits.setdefault(r, set()).update((i, j))
-    pts = sorted(hits)
-    edges = [(pi, li) for pi, pt in enumerate(pts) for li in sorted(hits[pt])]
+    through: dict[Point, list[int]] = {}
+    for i, line in enumerate(fam):
+        for pt in points_of(field, line):
+            through.setdefault(pt, []).append(i)
+    pts = sorted(pt for pt, idxs in through.items() if len(idxs) > 1)
+    edges = [(pi, li) for pi, pt in enumerate(pts) for li in through[pt]]
     g = from_edges(len(pts), len(fam), edges)
     cycle = next(iter_cycles(g, 8), None)
     if cycle is None:
@@ -197,23 +202,30 @@ def has_line_c4(field: Field, family: Iterable[GenLine]) -> LineC4Witness | None
 class C4FreeFamily:
     """Incrementally grown family with no C4 of lines.
 
-    Keeps the pairwise intersection adjacency of its members so that a
-    candidate only costs its own intersections plus the three-step
-    alternating walks it would open up.
+    Keeps the members' point-to-lines index and their intersection
+    adjacency, so that a candidate only costs q index lookups plus the
+    three-step alternating walks it would open up.
     """
 
     def __init__(self, field: Field):
         self.field = field
         self.lines: list[GenLine] = []
+        self._members: set[GenLine] = set()
+        self._through: dict[Point, list[int]] = {}
         self._adj: list[list[tuple[int, Point]]] = []
 
     def _intersections(self, cand: GenLine) -> list[tuple[int, Point]]:
-        out = []
-        for idx, member in enumerate(self.lines):
-            r = intersect(self.field, cand, member)
-            if r is not None and r is not SAME_LINE:
-                out.append((idx, r))
-        return out
+        """(member index, meeting point) of each member that cand, a
+        non-member, meets."""
+        through = self._through
+        hits = [
+            (idx, pt)
+            for pt in points_of(self.field, cand)
+            for idx in through.get(pt, ())
+        ]
+        # A member shares at most one point with cand: member order.
+        hits.sort()
+        return hits
 
     def _walk_closes_c4(self, hits: list[tuple[int, Point]]) -> bool:
         by_line = dict(hits)
@@ -231,14 +243,17 @@ class C4FreeFamily:
 
     def try_add(self, cand: GenLine) -> bool:
         """Add cand if the family stays C4-of-lines-free."""
-        if cand in self.lines:
+        if cand in self._members:
             return False
         hits = self._intersections(cand)
         if self._walk_closes_c4(hits):
             return False
         new_idx = len(self.lines)
         self.lines.append(cand)
-        self._adj.append(list(hits))
+        self._members.add(cand)
+        for pt in points_of(self.field, cand):
+            self._through.setdefault(pt, []).append(new_idx)
+        self._adj.append(hits)
         for idx, pt in hits:
             self._adj[idx].append((new_idx, pt))
         return True
@@ -275,6 +290,11 @@ def write_family(field: Field, family: Iterable[GenLine], sink: IO[str]) -> None
 def parse_family(text: str) -> tuple[int, int, list[GenLine]]:
     """Read a family file back as (p, m, lines); every line must be canonical."""
     kv, body = read_headed_text(text, FAMILY_FORMAT, ("p", "m", "n"), "n")
+    # Refused before make_field scans for a modulus of a field no family
+    # search could cover.
+    q = field_order(kv["p"], kv["m"])
+    if q**DIM > LINE_CAP:
+        raise SizeLimitError(f"q^{DIM} = {q**DIM} exceeds line cap {LINE_CAP}")
     field = make_field(kv["p"], kv["m"])
     fam = []
     for ln in body:

@@ -12,9 +12,12 @@ import girthforge
 from girthforge.gf import Field, _pdivmod, _ptrim
 from girthforge.graph import BiGraph, from_edges, point_id
 from girthforge.lines4 import (
+    DIM,
     SAME_LINE,
     C4FreeFamily,
     GenLine,
+    LineC4Witness,
+    all_genlines,
     canonical_genline,
     intersect,
 )
@@ -27,7 +30,7 @@ from girthforge.moment import (
     moment_vector,
     points_on,
 )
-from girthforge.verify import CycleWitness
+from girthforge.verify import CycleWitness, iter_cycles
 
 # Environment for a `python -m girthforge` child process: it imports the
 # same girthforge as the tests, whether or not the package is installed.
@@ -147,11 +150,17 @@ def validate_bigraph(g: BiGraph) -> BiGraph:
     return g
 
 
-def points_on_genline(field: Field, line: GenLine) -> list[Point]:
-    return [
-        tuple(field.add(b, field.mul(y, d)) for b, d in zip(line.base, line.dir))
-        for y in field.elements()
-    ]
+def pivot(line: GenLine) -> int:
+    return next(i for i, d in enumerate(line.dir) if d)
+
+
+def contains(field: Field, line: GenLine, pt: Point) -> bool:
+    # dir[pivot] = 1 and base[pivot] = 0 force the parameter value.
+    y = pt[pivot(line)]
+    return all(
+        pt[i] == field.add(line.base[i], field.mul(y, line.dir[i]))
+        for i in range(DIM)
+    )
 
 
 def blocked(family: C4FreeFamily, cand: GenLine) -> bool:
@@ -159,6 +168,64 @@ def blocked(family: C4FreeFamily, cand: GenLine) -> bool:
     if cand in family.lines:
         return False
     return family._walk_closes_c4(family._intersections(cand))
+
+
+# -- pairwise references for the point-to-lines index of lines4 --------------
+
+
+def pairwise_intersections(family: C4FreeFamily, cand: GenLine) -> list[tuple[int, Point]]:
+    """C4FreeFamily._intersections by solving intersect against every member."""
+    out = []
+    for idx, member in enumerate(family.lines):
+        r = intersect(family.field, cand, member)
+        if r is not None and r is not SAME_LINE:
+            out.append((idx, r))
+    return out
+
+
+class PairwiseFamily(C4FreeFamily):
+    """C4FreeFamily whose candidate intersections come from intersect."""
+
+    def _intersections(self, cand: GenLine) -> list[tuple[int, Point]]:
+        return pairwise_intersections(self, cand)
+
+
+def pairwise_greedy(field: Field, seed: int) -> list[GenLine]:
+    """greedy_c4free's seeded order, accepted through a PairwiseFamily."""
+    order = all_genlines(field)
+    random.Random(seed).shuffle(order)
+    fam = PairwiseFamily(field)
+    for cand in order:
+        fam.try_add(cand)
+    return fam.lines
+
+
+def pairwise_hits(field: Field, fam: list[GenLine]) -> dict[Point, list[int]]:
+    """Every point where two lines of fam meet, with the sorted indices of
+    the lines meeting there, from intersect on every pair."""
+    hits: dict[Point, set[int]] = {}
+    for i in range(len(fam)):
+        for j in range(i + 1, len(fam)):
+            r = intersect(field, fam[i], fam[j])
+            if r is not None and r is not SAME_LINE:
+                hits.setdefault(r, set()).update((i, j))
+    return {pt: sorted(idxs) for pt, idxs in hits.items()}
+
+
+def pairwise_line_c4(field: Field, family: list[GenLine]) -> LineC4Witness | None:
+    """has_line_c4 with the meeting points found pair by pair."""
+    fam = sorted(set(family))
+    hits = pairwise_hits(field, fam)
+    pts = sorted(hits)
+    edges = [(pi, li) for pi, pt in enumerate(pts) for li in hits[pt]]
+    g = from_edges(len(pts), len(fam), edges)
+    cycle = next(iter_cycles(g, 8), None)
+    if cycle is None:
+        return None
+    return LineC4Witness(
+        tuple(fam[cycle[i] - g.nP] for i in (1, 3, 5, 7)),
+        tuple(pts[cycle[i]] for i in (2, 4, 6, 0)),
+    )
 
 
 def _pmul(a: list[int], b: list[int], p: int) -> list[int]:

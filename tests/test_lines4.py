@@ -1,3 +1,4 @@
+import hashlib
 import io
 import itertools
 import random
@@ -12,27 +13,39 @@ from girthforge.lines4 import (
     SAME_LINE,
     C4FreeFamily,
     GenLine,
+    LineC4Witness,
     all_genlines,
     canonical_genline,
-    contains,
     greedy_c4free,
     has_line_c4,
     intersect,
     moment_seed,
     parse_family,
-    pivot,
+    points_of,
     validate_line_c4,
     write_family,
 )
 from girthforge.verify import count_cycles
-from helpers import blocked, brute_force_line_c4, points_on_genline, random_genline
+from helpers import (
+    blocked,
+    brute_force_line_c4,
+    contains,
+    pairwise_greedy,
+    pairwise_hits,
+    pairwise_intersections,
+    pairwise_line_c4,
+    pivot,
+    random_genline,
+)
 
 F2 = make_field(2)
 F3 = make_field(3)
+F4 = make_field(2, 2)
 
 # Size of the family grown over GF(2)^4 with the default seed; a
 # regression constant, any change means the ordering or detector moved.
 GREEDY_F2_SEED0_SIZE = 29
+GREEDY_F4_SEED0_SHA256 = "cbafffb9a4d363307e6ab98b9cc97926b73c9259cd0dacd27958f363d1e8cff0"
 
 
 def test_canonical_examples():
@@ -92,8 +105,16 @@ def test_all_genlines_count_f2():
 
 def test_point_sets_match_canonical_equality():
     lines = all_genlines(F2)
-    sets = {line: frozenset(points_on_genline(F2, line)) for line in lines}
+    sets = {line: frozenset(points_of(F2, line)) for line in lines}
     assert len(set(sets.values())) == 120
+
+
+@pytest.mark.parametrize("field", [F2, F3, F4], ids=repr)
+def test_points_of_lists_q_distinct_points_on_the_line(field):
+    for line in all_genlines(field):
+        pts = points_of(field, line)
+        assert len(set(pts)) == field.q
+        assert all(contains(field, line, pt) for pt in pts)
 
 
 def test_intersect_basics():
@@ -120,7 +141,7 @@ def test_intersect_symmetric_exhaustive_f2():
 
 def test_intersect_agrees_with_point_sets_f2():
     lines = all_genlines(F2)
-    sets = {line: set(points_on_genline(F2, line)) for line in lines}
+    sets = {line: set(points_of(F2, line)) for line in lines}
     for a, b in itertools.combinations(lines, 2):
         common = sets[a] & sets[b]
         r = intersect(F2, a, b)
@@ -187,6 +208,66 @@ def test_detector_matches_brute_force_random_families():
             assert set(got.lines) <= set(fam)
 
 
+def test_validate_line_c4_rejects_points_where_the_lines_do_not_meet():
+    w = has_line_c4(F3, moment_seed(F3))
+    assert w is not None and validate_line_c4(F3, w) is w
+    p = w.points
+    with pytest.raises(ValueError):
+        validate_line_c4(F3, LineC4Witness(w.lines, (p[1], p[0], p[2], p[3])))
+
+
+def _random_c4free(field, rng, tries):
+    fam = C4FreeFamily(field)
+    for _ in range(tries):
+        fam.try_add(random_genline(field, rng))
+    return fam
+
+
+@pytest.mark.parametrize("field", [F2, F3, F4], ids=repr)
+def test_index_hits_match_pairwise_intersect(field):
+    rng = random.Random(field.q)
+    for _ in range(5):
+        fam = _random_c4free(field, rng, 60)
+        multi = {pt: idxs for pt, idxs in fam._through.items() if len(idxs) > 1}
+        assert multi == pairwise_hits(field, fam.lines)
+        for cand in (random_genline(field, rng) for _ in range(20)):
+            if cand not in fam.lines:
+                assert fam._intersections(cand) == pairwise_intersections(fam, cand)
+
+
+@pytest.mark.parametrize("field", [F2, F3, F4, make_field(5)], ids=repr)
+def test_has_line_c4_matches_pairwise_reference_on_moment_seeds(field):
+    seed = moment_seed(field)
+    assert has_line_c4(field, seed) == pairwise_line_c4(field, seed)
+
+
+@pytest.mark.parametrize("field", [F2, F3, F4], ids=repr)
+def test_has_line_c4_matches_pairwise_reference_on_random_families(field):
+    rng = random.Random(7 * field.q)
+    found = 0
+    for _ in range(15):
+        fam = [random_genline(field, rng) for _ in range(rng.randint(4, 40))]
+        w = has_line_c4(field, fam)
+        assert w == pairwise_line_c4(field, fam)
+        found += w is not None
+    assert 0 < found < 15
+
+
+@pytest.mark.parametrize("q,seed", [(q, seed) for q in (2, 3) for seed in range(5)])
+def test_greedy_matches_pairwise_reference(q, seed):
+    field = make_field(q)
+    assert greedy_c4free(field, seed) == pairwise_greedy(field, seed)
+
+
+def test_greedy_q4_matches_pinned_pairwise_family():
+    # sha256 of the family file that the pairwise search (pairwise_greedy,
+    # about 20 s here) writes for GF(4), seed 0: 176 lines.
+    sink = io.StringIO()
+    write_family(F4, greedy_c4free(F4, 0), sink)
+    digest = hashlib.sha256(sink.getvalue().encode()).hexdigest()
+    assert digest == GREEDY_F4_SEED0_SHA256
+
+
 def test_greedy_f2_regression():
     fam = greedy_c4free(F2, 0)
     assert len(fam) == GREEDY_F2_SEED0_SIZE
@@ -226,7 +307,12 @@ def test_greedy_lower_bound_parallel_class():
 
 def test_greedy_q_cap():
     with pytest.raises(SizeLimitError):
-        greedy_c4free(make_field(5), 0)
+        greedy_c4free(make_field(3, 2), 0)
+
+
+def test_greedy_accepts_q_at_the_cap(monkeypatch):
+    monkeypatch.setattr("girthforge.lines4.all_genlines", lambda field: [])
+    assert greedy_c4free(make_field(2, 3), 0) == []
 
 
 def test_family_file_round_trip():
@@ -254,6 +340,21 @@ def test_family_file_round_trip():
 def test_parse_family_rejects_bad_header(head):
     with pytest.raises(ValueError):
         parse_family(head + "\ndir=1,0,0,0 base=0,0,0,0\n")
+
+
+def test_parse_family_refuses_a_field_past_the_line_cap_before_the_modulus_scan(monkeypatch):
+    def unreachable(p, m):
+        raise AssertionError(f"modulus scan of GF({p}^{m})")
+
+    monkeypatch.setattr("girthforge.gf._smallest_irreducible", unreachable)
+    with pytest.raises(SizeLimitError):
+        parse_family("girthforge-lines4 p=2 m=20 n=1\ndir=1,0,0,0 base=0,0,0,0\n")
+    with pytest.raises(SizeLimitError):
+        parse_family("girthforge-lines4 p=47 m=1 n=0\n")
+
+
+def test_parse_family_accepts_the_largest_field_under_the_line_cap():
+    assert parse_family("girthforge-lines4 p=43 m=1 n=0\n") == (43, 1, [])
 
 
 def test_parse_family_rejects_huge_prime_without_trial_division(monkeypatch):
