@@ -13,7 +13,7 @@ import sys
 from girthforge.gf import make_field
 from girthforge.graph import build, export, stats
 from girthforge.lines4 import (
-    all_genlines,
+    genline_count,
     greedy_c4free,
     has_line_c4,
     moment_seed,
@@ -94,8 +94,7 @@ def _cmd_conjecture_check(args: argparse.Namespace) -> int:
 def _cmd_conjecture_greedy(args: argparse.Namespace) -> int:
     f = make_field(args.p, args.m)
     family = greedy_c4free(f, args.seed)
-    total = len(all_genlines(f))
-    print(f"greedy-family size={len(family)} total={total}")
+    print(f"greedy-family size={len(family)} total={genline_count(f)}")
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
             write_family(f, family, fh)

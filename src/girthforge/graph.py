@@ -42,7 +42,6 @@ from girthforge.moment import (
     LINE_CAP,
     MomentLine,
     Point,
-    check_k,
     check_lines,
     points_on,
 )
@@ -69,12 +68,6 @@ class BiGraph:
 
     def neighbors(self, v: int) -> tuple[int, ...]:
         return self.adjP[v] if v < self.nP else self.adjL[v - self.nP]
-
-    def edges(self) -> Iterator[tuple[int, int]]:
-        """(P-id, L-global-id) pairs in ascending lexicographic order."""
-        for p in range(self.nP):
-            for l in self.adjP[p]:
-                yield p, l
 
     @cached_property
     def is_moment_graph(self) -> bool:
@@ -204,7 +197,14 @@ def to_text(g: BiGraph, fmt: str = "v1") -> str:
             f"{FORMAT_V1} p={field.p} m={field.m} k={k} "
             f"nP={g.nP} nL={g.nL} e={g.edge_count()}"
         )
-    lines.extend(f"{p} {l}" for p, l in g.edges())
+    # adjP order is the file's order: each line is str(p), made once per
+    # row, plus a suffix made once per L vertex; an empty row adds no line.
+    nP = g.nP
+    suffixes = [f" {l}" for l in range(nP, nP + g.nL)]
+    for p, row in enumerate(g.adjP):
+        if row:
+            ps = str(p)
+            lines.append("\n".join([ps + suffixes[l - nP] for l in row]))
     return "\n".join(lines) + "\n"
 
 
@@ -250,17 +250,24 @@ def read_headed_text(
 
 
 def parse(text: str) -> BiGraph:
-    """Re-import a v1 export; the result round-trips through to_text."""
+    """Re-import a v1 export; the result round-trips through to_text.
+
+    The edges must come in strictly ascending (P id, L id) order, so
+    appending each edge to both of its rows as it is read leaves every
+    row sorted and free of duplicates.
+    """
     kv, body = read_headed_text(
         text, FORMAT_V1, ("p", "m", "k", "nP", "nL", "e"), "e"
     )
     p, m, k, nP, nL = kv["p"], kv["m"], kv["k"], kv["nP"], kv["nL"]
     field = make_field(p, m)
-    check_k(k)
+    check_lines(field, k)
     if not nP == nL == field.q**k:
         raise ValueError(f"nP={nP} nL={nL} do not match (p^m)^k for p={p} m={m} k={k}")
     end = nP + nL
-    pairs = []
+    adj_p: list[list[int]] = [[] for _ in range(nP)]
+    adj_l: list[list[int]] = [[] for _ in range(nL)]
+    last_p, last_l = -1, 0
     for ln in body:
         ps, ls = ln.split()
         pid, lid = int(ps), int(ls)
@@ -269,8 +276,15 @@ def parse(text: str) -> BiGraph:
             raise ValueError(
                 f"edge {ln!r}: id {bad} out of range (P ids 0..{nP - 1}, L ids {nP}..{end - 1})"
             )
-        pair = (pid, lid - nP)
-        if pairs and pair <= pairs[-1]:
+        if pid <= last_p and (pid < last_p or lid <= last_l):
             raise ValueError(f"edge {ln!r} is not strictly after the edge before it")
-        pairs.append(pair)
-    return from_edges(nP, nL, pairs, meta=(field, k))
+        adj_p[pid].append(lid)
+        adj_l[lid - nP].append(pid)
+        last_p, last_l = pid, lid
+    return BiGraph(
+        nP=nP,
+        nL=nL,
+        adjP=tuple(map(tuple, adj_p)),
+        adjL=tuple(map(tuple, adj_l)),
+        meta=(field, k),
+    )

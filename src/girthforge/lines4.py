@@ -128,11 +128,17 @@ def intersect(field: Field, l1: GenLine, l2: GenLine):
     return tuple(field.add(b, field.mul(y1, d)) for b, d in zip(l1.base, l1.dir))
 
 
+def genline_count(field: Field) -> int:
+    """q^3 * (q^4 - 1) / (q - 1): one canonical direction per projective
+    point and q^3 bases per direction."""
+    q = field.q
+    return q ** (DIM - 1) * (q**DIM - 1) // (q - 1)
+
+
 def all_genlines(field: Field) -> list[GenLine]:
     """Every distinct line of GF(q)^4, canonically sorted.
 
-    There are q^3 * (q^4 - 1) / (q - 1) of them: one canonical
-    direction per projective point and q^3 bases per direction.
+    There are genline_count(field) of them.
     """
     q = field.q
     bases = [base_q_digits(bcode, q, DIM - 1) for bcode in range(q ** (DIM - 1))]

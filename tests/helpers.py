@@ -7,10 +7,11 @@ import os
 import random
 from collections import deque
 from pathlib import Path
+from typing import Iterator
 
 import girthforge
-from girthforge.gf import Field, _pdivmod, _ptrim
-from girthforge.graph import BiGraph, from_edges, point_id
+from girthforge.gf import Field, _pdivmod, _ptrim, make_field
+from girthforge.graph import FORMAT_V1, BiGraph, from_edges, point_id, read_headed_text
 from girthforge.lines4 import (
     DIM,
     SAME_LINE,
@@ -26,6 +27,7 @@ from girthforge.moment import (
     Point,
     base_q_digits,
     check_k,
+    check_lines,
     enumerate_lines,
     moment_vector,
     points_on,
@@ -342,6 +344,42 @@ def build_from_points(field: Field, k: int) -> BiGraph:
         adjL=tuple(adj_l),
         meta=(field, k),
     )
+
+
+def edges(g: BiGraph) -> Iterator[tuple[int, int]]:
+    """(P-id, L-global-id) pairs in ascending lexicographic order."""
+    for p in range(g.nP):
+        for l in g.adjP[p]:
+            yield p, l
+
+
+def set_parse(text: str) -> BiGraph:
+    """The reference for graph.parse: validate every edge into a pairs
+    list, then let from_edges collect each vertex's neighbours in a set
+    and sort them. Same header checks, same messages."""
+    kv, body = read_headed_text(
+        text, FORMAT_V1, ("p", "m", "k", "nP", "nL", "e"), "e"
+    )
+    p, m, k, nP, nL = kv["p"], kv["m"], kv["k"], kv["nP"], kv["nL"]
+    field = make_field(p, m)
+    check_lines(field, k)
+    if not nP == nL == field.q**k:
+        raise ValueError(f"nP={nP} nL={nL} do not match (p^m)^k for p={p} m={m} k={k}")
+    end = nP + nL
+    pairs = []
+    for ln in body:
+        ps, ls = ln.split()
+        pid, lid = int(ps), int(ls)
+        if not 0 <= pid < nP <= lid < end:
+            bad = ps if not 0 <= pid < nP else ls
+            raise ValueError(
+                f"edge {ln!r}: id {bad} out of range (P ids 0..{nP - 1}, L ids {nP}..{end - 1})"
+            )
+        pair = (pid, lid - nP)
+        if pairs and pair <= pairs[-1]:
+            raise ValueError(f"edge {ln!r} is not strictly after the edge before it")
+        pairs.append(pair)
+    return from_edges(nP, nL, pairs, meta=(field, k))
 
 
 def witness_directions(g: BiGraph, w: CycleWitness) -> list[int]:

@@ -1,11 +1,14 @@
 import io
 import itertools
+import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from girthforge.errors import SizeLimitError
 from girthforge.gf import make_field
 from girthforge.graph import (
+    BiGraph,
     build,
     export,
     from_edges,
@@ -16,7 +19,14 @@ from girthforge.graph import (
     to_text,
 )
 from girthforge.moment import MomentLine, enumerate_lines, points_on
-from helpers import build_from_points, id_line, id_point, validate_bigraph
+from helpers import (
+    build_from_points,
+    edges,
+    id_line,
+    id_point,
+    set_parse,
+    validate_bigraph,
+)
 
 F2 = make_field(2)
 F3 = make_field(3)
@@ -107,7 +117,7 @@ def test_export_frozen_bytes():
 
 def test_export_edge_order_ascending():
     g = build(F3, 2)
-    pairs = list(g.edges())
+    pairs = list(edges(g))
     assert pairs == sorted(pairs)
 
 
@@ -117,6 +127,16 @@ def test_bare_format():
     assert bare.splitlines() == D22_TEXT.splitlines()[1:]
     with pytest.raises(ValueError):
         to_text(g, "gml")
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_bare_export_lists_every_edge_in_order(seed):
+    # Sparse fixtures: some vertices isolated, some graphs with no edge.
+    rng = random.Random(seed)
+    n_p, n_l = rng.randint(1, 6), rng.randint(1, 6)
+    all_pairs = [(p, l) for p in range(n_p) for l in range(n_l)]
+    g = from_edges(n_p, n_l, rng.sample(all_pairs, rng.randint(0, len(all_pairs) // 2)))
+    assert to_text(g, "bare") == "\n".join(f"{p} {l}" for p, l in edges(g)) + "\n"
 
 
 def test_bare_needs_no_meta_but_v1_does():
@@ -258,3 +278,115 @@ def test_from_edges_validation():
         from_edges(2, 2, [(0, -1)])
     g = from_edges(2, 2, [(0, 0), (0, 0), (1, 1)])
     assert g.edge_count() == 2
+
+
+def test_parse_refuses_header_past_line_cap():
+    # The smallest q^k over LINE_CAP = 2^22: 7^8 = 5 764 801 per side.
+    # Refused from the header alone, before any row is allocated.
+    with pytest.raises(SizeLimitError, match="exceeds line cap"):
+        parse("girthforge-v1 p=7 m=1 k=8 nP=5764801 nL=5764801 e=0\n")
+
+
+def test_parse_checks_the_line_cap_before_the_rows(monkeypatch):
+    # With the cap lowered, this header would parse if the check were skipped.
+    monkeypatch.setattr("girthforge.moment.LINE_CAP", 1 << 10)
+    with pytest.raises(SizeLimitError):
+        parse("girthforge-v1 p=3 m=1 k=7 nP=2187 nL=2187 e=0\n")
+
+
+def _outcome(parser, text):
+    """The parsed graph, or the type and message of the ValueError."""
+    try:
+        return parser(text)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("field,k", ROW_CASES, ids=[f"q{f.q}-k{k}" for f, k in ROW_CASES])
+def test_parse_matches_set_parse(field, k):
+    text = to_text(build(field, k))
+    assert parse(text) == set_parse(text)
+
+
+F3_K3_TEXT = to_text(build(F3, 3))
+
+
+def _mutate(text: str, kind: str, rng: random.Random) -> str:
+    """One seeded defect; e= is recounted unless the defect is e= itself."""
+    head, *body = text.splitlines()
+    n = int(head.split("nP=")[1].split()[0])
+    i = rng.randrange(len(body))
+    if kind == "swap":
+        body[i - 1], body[i] = body[i], body[i - 1]
+    elif kind == "duplicate":
+        body.insert(i, body[i])
+    elif kind == "out-of-range":
+        ps, ls = body[i].split()
+        if rng.random() < 0.5:
+            body[i] = f"{rng.choice([-1, n, 2 * n])} {ls}"
+        else:
+            body[i] = f"{ps} {rng.choice([-1, n - 1, 2 * n])}"
+    elif kind == "one-token":
+        body[i] = body[i].split()[rng.randrange(2)]
+    elif kind == "three-tokens":
+        body[i] = f"{body[i]} {rng.randrange(2 * n)}"
+    elif kind == "blank":
+        body.insert(i, rng.choice(["", " ", "\t"]))
+    e = sum(1 for ln in body if ln)
+    if kind == "wrong-e":
+        e += rng.choice([-1, 1])
+    head = f"{head.rsplit(' e=', 1)[0]} e={e}"
+    return "\n".join([head, *body]) + "\n"
+
+
+MUTATIONS = ["swap", "duplicate", "out-of-range", "one-token", "three-tokens", "blank", "wrong-e"]
+
+
+@pytest.mark.parametrize("kind", MUTATIONS)
+@pytest.mark.parametrize(
+    "name,text", [("d22", D22_TEXT), ("f3-k3", F3_K3_TEXT)], ids=["d22", "f3-k3"]
+)
+def test_parse_agrees_with_set_parse_on_mutations(name, text, kind):
+    rng = random.Random(f"{name}-{kind}")
+    for _ in range(8):
+        bad = _mutate(text, kind, rng)
+        got = _outcome(parse, bad)
+        assert got == _outcome(set_parse, bad)
+        # An empty line is skipped; every other defect is refused.
+        assert isinstance(got, BiGraph) == (bad.count("\n\n") == 1)
+
+
+FUZZ_SHAPES = [(2, 1, 2), (3, 1, 2), (2, 2, 2), (2, 1, 3)]
+
+
+@st.composite
+def edge_list_texts(draw):
+    """Near-valid v1 texts over small fields: in-range edges, sorted or
+    not, at most one junk or out-of-range line, header counts off by one."""
+    p, m, k = draw(st.sampled_from(FUZZ_SHAPES))
+    n = (p**m) ** k
+    edge = st.tuples(st.integers(0, n - 1), st.integers(n, 2 * n - 1))
+    pairs = draw(st.lists(edge, max_size=16))
+    if draw(st.integers(0, 3)):
+        pairs = sorted(set(pairs))
+    body = [f"{a} {b}" for a, b in pairs]
+    junk = st.sampled_from(
+        ["", " ", "0", f"0 {n} 1", "x 4", f"1  {n}", f"+1 {n}",
+         f"-1 {n}", f"{n} {n}", f"0 {2 * n}", f"0 {n - 1}"]
+    )
+    for at, ln in draw(st.lists(st.tuples(st.integers(0, len(body)), junk), max_size=1)):
+        body.insert(at, ln)
+    n_p = n + draw(st.sampled_from([0, 0, 0, 0, 1]))
+    e = len([ln for ln in body if ln]) + draw(st.sampled_from([0, 0, 0, 0, 0, 1, -1]))
+    head = f"girthforge-v1 p={p} m={m} k={k} nP={n_p} nL={n} e={e}"
+    return "\n".join([head, *body]) + "\n"
+
+
+@given(text=edge_list_texts() | st.text("girthforge-v1 pmknPLe=0123456789\n", max_size=60))
+@settings(max_examples=300, deadline=None)
+def test_parse_fuzz_round_trips_or_raises(text):
+    got = _outcome(parse, text)
+    assert got == _outcome(set_parse, text)
+    if isinstance(got, BiGraph):
+        assert parse(to_text(got)) == got
+        assert to_text(got).splitlines()[1:] == [f"{p} {l}" for p, l in edges(got)]

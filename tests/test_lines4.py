@@ -16,6 +16,7 @@ from girthforge.lines4 import (
     LineC4Witness,
     all_genlines,
     canonical_genline,
+    genline_count,
     greedy_c4free,
     has_line_c4,
     intersect,
@@ -101,6 +102,18 @@ def test_all_genlines_count_f2():
         for d in itertools.product(range(2), repeat=4):
             if any(d):
                 assert canonical_genline(F2, x, d) in table
+
+
+@pytest.mark.parametrize("p,m", [(2, 1), (3, 1), (2, 2), (5, 1)], ids=repr)
+def test_genline_count_matches_all_genlines(p, m):
+    field = make_field(p, m)
+    assert genline_count(field) == len(all_genlines(field))
+
+
+def test_genline_count_closed_form():
+    # The totals conjecture-greedy prints at q=3 and q=8.
+    assert genline_count(F3) == 1080
+    assert genline_count(make_field(2, 3)) == 299_520
 
 
 def test_point_sets_match_canonical_equality():

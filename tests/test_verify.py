@@ -22,6 +22,7 @@ from girthforge.verify import (
 )
 from helpers import (
     cycle_fixture,
+    edges,
     girth,
     k22,
     k33,
@@ -184,7 +185,7 @@ def test_construction_report_passes():
 def _doctored_f3_k2():
     """The q=3, k=2 graph with one extra edge."""
     g = build(F3, 2)
-    pairs = [(p, l - g.nP) for p, l in g.edges()]
+    pairs = [(p, l - g.nP) for p, l in edges(g)]
     extra = next(
         (p, l)
         for p in range(g.nP)
@@ -298,7 +299,7 @@ def test_certificate_rejects_a_degree_preserving_swap():
     # Swap (p1, l1), (p2, l2) for (p1, l2), (p2, l1): every degree and
     # size stays, so only the rows themselves tell this graph apart.
     g = build(F3, 3)
-    pairs = {(p, l - g.nP) for p, l in g.edges()}
+    pairs = {(p, l - g.nP) for p, l in edges(g)}
     (p1, l1), (p2, l2) = next(
         ((a, b) for a in sorted(pairs) for b in sorted(pairs)
          if (a[0], b[1]) not in pairs and (b[0], a[1]) not in pairs)
