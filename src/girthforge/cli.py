@@ -14,6 +14,7 @@ from girthforge.gf import make_field
 from girthforge.graph import build, export, stats
 from girthforge.lines4 import (
     genline_count,
+    genline_text,
     greedy_c4free,
     has_line_c4,
     moment_seed,
@@ -83,9 +84,7 @@ def _cmd_conjecture_check(args: argparse.Namespace) -> int:
     else:
         print("line-c4 found")
         for line in witness.lines:
-            d = ",".join(map(str, line.dir))
-            b = ",".join(map(str, line.base))
-            print(f"witness-line dir={d} base={b}")
+            print(f"witness-line {genline_text(line)}")
         for pt in witness.points:
             print(f"witness-point {','.join(map(str, pt))}")
     return 0

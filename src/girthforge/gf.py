@@ -200,15 +200,8 @@ class Field:
     def sub(self, a: int, b: int) -> int:
         if self.m == 1:
             return (a - b) % self.p
-        if not b:
-            return a
-        exp, log, zech, neg = self._tables
-        b = neg[b]
-        if not a:
-            return b
-        la = log[a]
-        z = zech[log[b] - la]
-        return exp[la + z] if z >= 0 else 0
+        _, _, _, neg = self._tables
+        return self.add(a, neg[b])
 
     def neg(self, a: int) -> int:
         return self.sub(0, a)

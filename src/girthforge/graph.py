@@ -133,42 +133,20 @@ def moment_rows(field: Field, k: int) -> Iterator[tuple[int, ...]]:
 def build(field: Field, k: int) -> BiGraph:
     """Assemble the incidence graph between GF(q)^k and its moment lines."""
     adj_l = tuple(moment_rows(field, k))
-    n = len(adj_l)
-    adj_p: list[list[int]] = [[] for _ in range(n)]
-    for lid, row in enumerate(adj_l, n):
+    return from_rows(len(adj_l), adj_l, (field, k))
+
+
+def from_rows(
+    nP: int, adj_l: Iterable[Iterable[int]], meta: tuple[Field, int] | None = None
+) -> BiGraph:
+    """The BiGraph whose L rows are adj_l, each strictly ascending P ids in
+    [0, nP); filling the P rows in ascending L-id order leaves them sorted."""
+    adj_l = tuple(map(tuple, adj_l))
+    adj_p: list[list[int]] = [[] for _ in range(nP)]
+    for lid, row in enumerate(adj_l, nP):
         for pid in row:
             adj_p[pid].append(lid)
-    # lids were visited in ascending order, so each adj_p row is sorted.
-    return BiGraph(
-        nP=n,
-        nL=n,
-        adjP=tuple(tuple(row) for row in adj_p),
-        adjL=adj_l,
-        meta=(field, k),
-    )
-
-
-def from_edges(
-    nP: int,
-    nL: int,
-    pairs: Iterable[tuple[int, int]],
-    meta: tuple[Field, int] | None = None,
-) -> BiGraph:
-    """Build a BiGraph from (P-id, local L-id) pairs; duplicates collapse."""
-    adj_p: list[set[int]] = [set() for _ in range(nP)]
-    adj_l: list[set[int]] = [set() for _ in range(nL)]
-    for p, l in pairs:
-        if not (0 <= p < nP and 0 <= l < nL):
-            raise ValueError(f"edge ({p}, {l}) out of range for {nP}x{nL}")
-        adj_p[p].add(nP + l)
-        adj_l[l].add(p)
-    return BiGraph(
-        nP=nP,
-        nL=nL,
-        adjP=tuple(tuple(sorted(s)) for s in adj_p),
-        adjL=tuple(tuple(sorted(s)) for s in adj_l),
-        meta=meta,
-    )
+    return BiGraph(nP, len(adj_l), tuple(map(tuple, adj_p)), adj_l, meta)
 
 
 def stats(g: BiGraph) -> GraphStats:
@@ -237,7 +215,10 @@ def read_headed_text(
             raise ValueError(f"repeated header key {key!r}")
         if not val:
             raise ValueError(f"header key {key!r} has no value")
-        kv[key] = int(val)
+        try:
+            kv[key] = int(val)
+        except ValueError:
+            raise ValueError(f"header field {part!r}: expected an integer value") from None
     missing = [key for key in keys if key not in kv]
     if missing:
         raise ValueError(f"header lacks {', '.join(missing)}")
@@ -253,8 +234,8 @@ def parse(text: str) -> BiGraph:
     """Re-import a v1 export; the result round-trips through to_text.
 
     The edges must come in strictly ascending (P id, L id) order, so
-    appending each edge to both of its rows as it is read leaves every
-    row sorted and free of duplicates.
+    appending each edge to its L row as it is read leaves every L row
+    sorted and free of duplicates; from_rows makes the P rows.
     """
     kv, body = read_headed_text(
         text, FORMAT_V1, ("p", "m", "k", "nP", "nL", "e"), "e"
@@ -265,12 +246,14 @@ def parse(text: str) -> BiGraph:
     if not nP == nL == field.q**k:
         raise ValueError(f"nP={nP} nL={nL} do not match (p^m)^k for p={p} m={m} k={k}")
     end = nP + nL
-    adj_p: list[list[int]] = [[] for _ in range(nP)]
     adj_l: list[list[int]] = [[] for _ in range(nL)]
     last_p, last_l = -1, 0
     for ln in body:
-        ps, ls = ln.split()
-        pid, lid = int(ps), int(ls)
+        try:
+            ps, ls = ln.split()
+            pid, lid = int(ps), int(ls)
+        except ValueError:
+            raise ValueError(f"edge {ln!r}: expected two integer ids") from None
         if not 0 <= pid < nP <= lid < end:
             bad = ps if not 0 <= pid < nP else ls
             raise ValueError(
@@ -278,13 +261,6 @@ def parse(text: str) -> BiGraph:
             )
         if pid <= last_p and (pid < last_p or lid <= last_l):
             raise ValueError(f"edge {ln!r} is not strictly after the edge before it")
-        adj_p[pid].append(lid)
         adj_l[lid - nP].append(pid)
         last_p, last_l = pid, lid
-    return BiGraph(
-        nP=nP,
-        nL=nL,
-        adjP=tuple(map(tuple, adj_p)),
-        adjL=tuple(map(tuple, adj_l)),
-        meta=(field, k),
-    )
+    return from_rows(nP, adj_l, (field, k))

@@ -26,7 +26,7 @@ from typing import IO, Iterable, NamedTuple
 
 from girthforge.errors import SizeLimitError
 from girthforge.gf import Field, field_order, make_field
-from girthforge.graph import from_edges, read_headed_text
+from girthforge.graph import from_rows, read_headed_text
 from girthforge.moment import (
     LINE_CAP,
     Point,
@@ -193,8 +193,12 @@ def has_line_c4(field: Field, family: Iterable[GenLine]) -> LineC4Witness | None
         for pt in points_of(field, line):
             through.setdefault(pt, []).append(i)
     pts = sorted(pt for pt, idxs in through.items() if len(idxs) > 1)
-    edges = [(pi, li) for pi, pt in enumerate(pts) for li in through[pt]]
-    g = from_edges(len(pts), len(fam), edges)
+    # Points in ascending order keep each line's row of point ids sorted.
+    rows: list[list[int]] = [[] for _ in fam]
+    for pi, pt in enumerate(pts):
+        for li in through[pt]:
+            rows[li].append(pi)
+    g = from_rows(len(pts), rows)
     cycle = next(iter_cycles(g, 8), None)
     if cycle is None:
         return None
@@ -284,13 +288,16 @@ def greedy_c4free(field: Field, seed: int | None = 0) -> list[GenLine]:
     return fam.lines
 
 
+def genline_text(line: GenLine) -> str:
+    """The line as family files and witness reports spell it."""
+    return f"dir={','.join(map(str, line.dir))} base={','.join(map(str, line.base))}"
+
+
 def write_family(field: Field, family: Iterable[GenLine], sink: IO[str]) -> None:
     fam = list(family)
     sink.write(f"{FAMILY_FORMAT} p={field.p} m={field.m} n={len(fam)}\n")
     for line in fam:
-        d = ",".join(map(str, line.dir))
-        b = ",".join(map(str, line.base))
-        sink.write(f"dir={d} base={b}\n")
+        sink.write(genline_text(line) + "\n")
 
 
 def parse_family(text: str) -> tuple[int, int, list[GenLine]]:
@@ -304,11 +311,22 @@ def parse_family(text: str) -> tuple[int, int, list[GenLine]]:
     field = make_field(kv["p"], kv["m"])
     fam = []
     for ln in body:
-        dpart, bpart = ln.split()
-        direction = tuple(int(v) for v in dpart.removeprefix("dir=").split(","))
-        base = tuple(int(v) for v in bpart.removeprefix("base=").split(","))
-        line = GenLine(direction, base)
-        if canonical_genline(field, base, direction) != line:
-            raise ValueError(f"line {ln!r} is not in canonical form")
+        dpart, _, bpart = ln.partition(" base=")
+        try:
+            line = GenLine(
+                tuple(map(int, dpart.removeprefix("dir=").split(","))),
+                tuple(map(int, bpart.split(","))),
+            )
+        except ValueError:
+            line = None
+        # Only genline_text's spelling is accepted: both keys, each number
+        # written one way.
+        if line is None or genline_text(line) != ln:
+            raise ValueError(f"line {ln!r}: expected dir=<ints> base=<ints>")
+        try:
+            if canonical_genline(field, line.base, line.dir) != line:
+                raise ValueError("not in canonical form")
+        except ValueError as exc:
+            raise ValueError(f"line {ln!r}: {exc}") from None
         fam.append(line)
     return field.p, field.m, fam

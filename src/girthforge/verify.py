@@ -25,7 +25,7 @@ from typing import Iterator
 
 from girthforge.errors import SizeLimitError
 from girthforge.gf import Field
-from girthforge.graph import BiGraph, build
+from girthforge.graph import BiGraph, build, stats
 
 CycleWitness = tuple[int, ...]
 
@@ -225,47 +225,24 @@ def construction_report(g: BiGraph) -> VerifyReport:
     if g.meta is None:
         raise ValueError("construction_report needs a graph built with metadata")
     field, k = g.meta
-    q = field.q
-    claims: list[ClaimResult] = []
-
-    def run(name: str, fn) -> None:
-        claims.append(ClaimResult(name, *fn()))
-
-    def check_order():
-        ok = g.nP == q**k and g.nL == q**k
-        return ok, None, "" if ok else f"expected {q**k}+{q**k}, got {g.nP}+{g.nL}"
-
-    def check_edges():
-        e = g.edge_count()
-        ok = e == q ** (k + 1)
-        return ok, None, "" if ok else f"expected {q ** (k + 1)} edges, got {e}"
-
-    def check_regular():
-        for v in range(g.nP + g.nL):
-            d = len(g.neighbors(v))
-            if d != q:
-                return False, None, f"vertex {v} has degree {d}, expected {q}"
-        return True, None, ""
-
-    def check_c4():
-        w = find_c4(g)
-        return w is None, w, "" if w is None else "4-cycle found"
-
-    def make_cycle_check(length: int):
-        def check():
-            cnt, w = count_cycles(g, length)
-            return cnt == 0, w, "" if cnt == 0 else f"{cnt} cycles of length {length}"
-
-        return check
-
-    run("order", check_order)
-    run("edges", check_edges)
-    run("regular", check_regular)
-    run("c4-free", check_c4)
-    if k >= 3:
-        run("c6-free", make_cycle_check(6))
-    if k >= 5:
-        run("c10-free", make_cycle_check(10))
+    q, n = field.q, field.q**k
+    s = stats(g)
+    c4 = find_c4(g)
+    claims = [
+        ClaimResult("order", s.nP == s.nL == n, detail=f"{s.nP}+{s.nL}, expected {n}+{n}"),
+        ClaimResult("edges", s.edges == q * n, detail=f"{s.edges}, expected {q * n}"),
+        ClaimResult(
+            "regular",
+            s.min_deg == s.max_deg == q,
+            detail=f"degrees {s.min_deg}..{s.max_deg}, expected {q}",
+        ),
+        ClaimResult("c4-free", c4 is None, c4),
+    ]
+    for length in (6, 10):
+        if k >= length // 2:
+            count, w = count_cycles(g, length)
+            detail = f"{count} cycles of length {length}"
+            claims.append(ClaimResult(f"c{length}-free", count == 0, w, detail))
     return VerifyReport(tuple(claims))
 
 

@@ -7,11 +7,11 @@ import os
 import random
 from collections import deque
 from pathlib import Path
-from typing import Iterator
+from typing import Iterable, Iterator
 
 import girthforge
 from girthforge.gf import Field, _pdivmod, _ptrim, make_field
-from girthforge.graph import FORMAT_V1, BiGraph, from_edges, point_id, read_headed_text
+from girthforge.graph import FORMAT_V1, BiGraph, point_id, read_headed_text
 from girthforge.lines4 import (
     DIM,
     SAME_LINE,
@@ -41,6 +41,35 @@ CLI_ENV = {
     **os.environ,
     "PYTHONPATH": os.pathsep.join(filter(None, (_SRC, os.environ.get("PYTHONPATH")))),
 }
+
+
+def from_edges(
+    nP: int,
+    nL: int,
+    pairs: Iterable[tuple[int, int]],
+    meta: tuple[Field, int] | None = None,
+) -> BiGraph:
+    """Build a BiGraph from (P-id, local L-id) pairs in any order;
+    duplicates collapse.
+
+    Each vertex's neighbours are collected in a set and sorted, on both
+    sides, so this shares no code with graph.from_rows and serves as its
+    reference.
+    """
+    adj_p: list[set[int]] = [set() for _ in range(nP)]
+    adj_l: list[set[int]] = [set() for _ in range(nL)]
+    for p, l in pairs:
+        if not (0 <= p < nP and 0 <= l < nL):
+            raise ValueError(f"edge ({p}, {l}) out of range for {nP}x{nL}")
+        adj_p[p].add(nP + l)
+        adj_l[l].add(p)
+    return BiGraph(
+        nP=nP,
+        nL=nL,
+        adjP=tuple(tuple(sorted(s)) for s in adj_p),
+        adjL=tuple(tuple(sorted(s)) for s in adj_l),
+        meta=meta,
+    )
 
 
 def k22() -> BiGraph:
@@ -368,8 +397,11 @@ def set_parse(text: str) -> BiGraph:
     end = nP + nL
     pairs = []
     for ln in body:
-        ps, ls = ln.split()
-        pid, lid = int(ps), int(ls)
+        try:
+            ps, ls = ln.split()
+            pid, lid = int(ps), int(ls)
+        except ValueError:
+            raise ValueError(f"edge {ln!r}: expected two integer ids") from None
         if not 0 <= pid < nP <= lid < end:
             bad = ps if not 0 <= pid < nP else ls
             raise ValueError(

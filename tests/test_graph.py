@@ -1,6 +1,7 @@
 import io
 import itertools
 import random
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,7 +12,7 @@ from girthforge.graph import (
     BiGraph,
     build,
     export,
-    from_edges,
+    from_rows,
     line_id,
     parse,
     point_id,
@@ -22,8 +23,10 @@ from girthforge.moment import MomentLine, enumerate_lines, points_on
 from helpers import (
     build_from_points,
     edges,
+    from_edges,
     id_line,
     id_point,
+    random_bipartite,
     set_parse,
     validate_bigraph,
 )
@@ -33,6 +36,7 @@ F3 = make_field(3)
 F4 = make_field(2, 2)
 F5 = make_field(5)
 
+D22_HEAD = "girthforge-v1 p=2 m=1 k=2 nP=4 nL=4 e="
 D22_TEXT = """girthforge-v1 p=2 m=1 k=2 nP=4 nL=4 e=8
 0 4
 0 6
@@ -271,6 +275,19 @@ def test_parsed_graph_is_certified(field, k):
     assert g.meta == (field, k) and g.is_moment_graph
 
 
+@pytest.mark.parametrize("seed", range(100))
+def test_from_rows_matches_set_based_from_edges(seed):
+    g = random_bipartite(seed)
+    pairs = [(p, l - g.nP) for p, l in edges(g)]
+    # The same edges with one more vertex, isolated, on either side.
+    for n_p, n_l in ((g.nP, g.nL), (g.nP + 1, g.nL), (g.nP, g.nL + 1)):
+        rows: list[list[int]] = [[] for _ in range(n_l)]
+        for p, l in pairs:
+            rows[l].append(p)
+        got = validate_bigraph(from_rows(n_p, rows))
+        assert got == from_edges(n_p, n_l, pairs)
+
+
 def test_from_edges_validation():
     with pytest.raises(ValueError):
         from_edges(2, 2, [(2, 0)])
@@ -332,14 +349,31 @@ def _mutate(text: str, kind: str, rng: random.Random) -> str:
         body[i] = f"{body[i]} {rng.randrange(2 * n)}"
     elif kind == "blank":
         body.insert(i, rng.choice(["", " ", "\t"]))
+    elif kind == "non-integer":
+        ps, ls = body[i].split()
+        body[i] = rng.choice([f"x {ls}", f"{ps} x", f"{ps} {ls}.0"])
     e = sum(1 for ln in body if ln)
     if kind == "wrong-e":
         e += rng.choice([-1, 1])
     head = f"{head.rsplit(' e=', 1)[0]} e={e}"
+    if kind == "non-integer-header":
+        key = rng.choice(["p", "m", "k", "nP", "nL", "e"])
+        head = re.sub(rf" {key}=\d+", f" {key}=x", head)
     return "\n".join([head, *body]) + "\n"
 
 
-MUTATIONS = ["swap", "duplicate", "out-of-range", "one-token", "three-tokens", "blank", "wrong-e"]
+MUTATIONS = [
+    "swap",
+    "duplicate",
+    "out-of-range",
+    "one-token",
+    "three-tokens",
+    "non-integer",
+    "blank",
+    "wrong-e",
+    "non-integer-header",
+]
+MALFORMED = {"one-token", "three-tokens", "non-integer"}
 
 
 @pytest.mark.parametrize("kind", MUTATIONS)
@@ -354,6 +388,27 @@ def test_parse_agrees_with_set_parse_on_mutations(name, text, kind):
         assert got == _outcome(set_parse, bad)
         # An empty line is skipped; every other defect is refused.
         assert isinstance(got, BiGraph) == (bad.count("\n\n") == 1)
+        if kind in MALFORMED:
+            assert re.fullmatch(r"edge '[^']*': expected two integer ids", got[1])
+        if kind == "non-integer-header":
+            assert re.fullmatch(r"header field '\w+=x': expected an integer value", got[1])
+
+
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        (D22_HEAD + "1\n0\n", "edge '0': expected two integer ids"),
+        (D22_HEAD + "1\n0 x\n", "edge '0 x': expected two integer ids"),
+        (D22_HEAD + "1\n0 4 5\n", "edge '0 4 5': expected two integer ids"),
+        (
+            D22_HEAD.replace("p=2", "p=x") + "0\n",
+            "header field 'p=x': expected an integer value",
+        ),
+    ],
+    ids=["one-token", "non-integer", "three-tokens", "header-value"],
+)
+def test_parse_names_a_malformed_line_as_written(text, message):
+    assert _outcome(parse, text) == _outcome(set_parse, text) == (ValueError, message)
 
 
 FUZZ_SHAPES = [(2, 1, 2), (3, 1, 2), (2, 2, 2), (2, 1, 3)]

@@ -4,11 +4,12 @@ import pytest
 
 from girthforge.errors import SizeLimitError
 from girthforge.gf import make_field
-from girthforge.graph import build, from_edges
+from girthforge.graph import build
 from girthforge.oracle import naive_cycle_count, naive_l4_paths
 from girthforge.verify import count_cycles, l4_path_counts_from, max_l4_paths
 from helpers import (
     cycle_fixture,
+    from_edges,
     k22,
     k33,
     path_fixture,

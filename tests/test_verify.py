@@ -7,7 +7,7 @@ import pytest
 
 from girthforge.errors import SizeLimitError
 from girthforge.gf import make_field
-from girthforge.graph import BiGraph, build, from_edges
+from girthforge.graph import BiGraph, build
 from girthforge.moment import line_through, points_on
 from girthforge.oracle import naive_cycle_count
 from girthforge.verify import (
@@ -23,6 +23,7 @@ from girthforge.verify import (
 from helpers import (
     cycle_fixture,
     edges,
+    from_edges,
     girth,
     k22,
     k33,
