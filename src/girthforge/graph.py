@@ -194,11 +194,14 @@ def export(g: BiGraph, sink: IO[str], fmt: str = "v1") -> None:
 def read_headed_text(
     text: str, magic: str, keys: tuple[str, ...], count_key: str
 ) -> tuple[dict[str, int], list[str]]:
-    """Split a text file into its header values and its non-empty body lines.
+    """Split a text file into its header values and its body lines.
 
     The first line is the magic word followed by one ``key=int`` token
-    for each of keys, in any order; the body must hold as many lines as
-    the header's count_key promises.
+    for each of keys, spelled as the writers spell it: the keys in the
+    order given, one space before each, plain decimal values. No body
+    line may be empty, and the body must hold as many lines as the
+    header's count_key promises. So every text that is read back is
+    the one its parsed value writes.
     """
     lines = text.splitlines()
     if not lines:
@@ -222,7 +225,12 @@ def read_headed_text(
     missing = [key for key in keys if key not in kv]
     if missing:
         raise ValueError(f"header lacks {', '.join(missing)}")
-    body = [ln for ln in lines[1:] if ln]
+    spelled = " ".join([magic, *(f"{key}={kv[key]}" for key in keys)])
+    if lines[0] != spelled:
+        raise ValueError(f"header {lines[0]!r}: expected {spelled!r}")
+    body = lines[1:]
+    if "" in body:
+        raise ValueError(f"line {body.index('') + 2} is blank")
     if len(body) != kv[count_key]:
         raise ValueError(
             f"header says {count_key}={kv[count_key]}, body has {len(body)} lines"

@@ -1,20 +1,26 @@
 """Structural checks on bipartite graphs: C4 detection, exact
 fixed-length cycle counts and the length-4 path statistic.
 
-Cycle counting uses a canonical enumeration so each cycle is produced
-exactly once: the cycle is rooted at its minimum-ID vertex, the DFS
-visits only IDs greater than the root, and of the two traversal
-directions the one whose second vertex is smaller than its last is
-kept. With sorted adjacency the first cycle found is therefore the
-lexicographically smallest witness. P ids sort below L ids, so every
-cycle is rooted at a P vertex.
+Cycle enumeration is canonical, so each cycle is produced exactly
+once: the cycle is rooted at its minimum-ID vertex, the DFS visits only
+IDs greater than the root, and of the two traversal directions the one
+whose second vertex is smaller than its last is kept. With sorted
+adjacency the first cycle found is therefore the lexicographically
+smallest witness. P ids sort below L ids, so every cycle is rooted at a
+P vertex.
 
-One rule picks the roots of every search. When a graph is certified as
-the moment graph of its metadata (checked on the graph once, by
-``BiGraph.is_moment_graph``, not assumed from the metadata), the
-translations of GF(q)^k are automorphisms that act regularly on P, and
-the C4 scan, the cycle counts and the length-4 path maximum start from
-P vertex 0 alone; otherwise they start from every P vertex.
+One rule, ``_flag``, decides which symmetries every search may use.
+When a graph is certified as the moment graph of its metadata (checked
+on the graph once, by ``BiGraph.is_moment_graph``, not assumed from the
+metadata), two families of maps of GF(q)^k carry it onto itself: the
+translations, which act regularly on P, and the shears S_c, which send
+x_i to the sum over j <= i of C(i, j) * c^(i-j) * x_j, fix the origin
+and send direction z to z + c. Together they act transitively on the
+edges (flags). So the C4 scan and the length-4 path maximum start from
+P vertex 0 alone, and the cycle counts enumerate only the cycles
+through the one edge from P vertex 0 to L0, the z=0 line through the
+origin: with c_e such cycles, a graph with E edges has E * c_e / length
+cycles of the length. Any other graph is searched from every P vertex.
 """
 
 from __future__ import annotations
@@ -30,7 +36,12 @@ from girthforge.graph import BiGraph, build, stats
 CycleWitness = tuple[int, ...]
 
 MAX_CYCLE_LEN = 12
+# Vertex caps for lengths 10 and 12, for searches from every P vertex and
+# for counts through the flag of a certified moment graph. The flag cap
+# admits verify at q = 13, k = 5 (742 586 vertices, about 20 s) and
+# refuses q = 16, k = 5, whose C10 alone would take about a minute.
 BIG_CYCLE_VERTEX_CAP = 8192
+FLAG_CYCLE_VERTEX_CAP = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -73,13 +84,24 @@ def validate_cycle(g: BiGraph, w: CycleWitness) -> CycleWitness:
     return w
 
 
+def _flag(g: BiGraph) -> int | None:
+    """L0, the L vertex whose edge to P vertex 0 stands for every edge, or None.
+
+    This is the one place the searches decide which symmetries they
+    use, and it decides on the certificate alone. On the moment graph
+    the translations and shears act transitively on the edges; L0, the
+    z=0 line through the origin, has local id 0.
+    """
+    return g.nP if g.is_moment_graph else None
+
+
 def _roots(g: BiGraph) -> range:
     """The P vertices a search starts from.
 
     Translations act regularly on P, so on the moment graph every P
     vertex looks like P vertex 0 and 0 alone is searched.
     """
-    return range(1 if g.is_moment_graph else g.nP)
+    return range(g.nP if _flag(g) is None else 1)
 
 
 def find_c4(g: BiGraph) -> CycleWitness | None:
@@ -104,14 +126,12 @@ def find_c4(g: BiGraph) -> CycleWitness | None:
     return None
 
 
-def _check_cycle_length(g: BiGraph, length: int) -> None:
+def _check_cycle_length(g: BiGraph, length: int, cap: int) -> None:
     if length < 4 or length > MAX_CYCLE_LEN:
         raise ValueError(f"cycle length must be even in [4, {MAX_CYCLE_LEN}]")
     n = g.nP + g.nL
-    if length >= 10 and n > BIG_CYCLE_VERTEX_CAP:
-        raise SizeLimitError(
-            f"{n} vertices exceeds cap {BIG_CYCLE_VERTEX_CAP} for length >= 10"
-        )
+    if length >= 10 and n > cap:
+        raise SizeLimitError(f"{n} vertices exceeds cap {cap} for length >= 10")
 
 
 def _cycles_from(g: BiGraph, length: int, roots: range) -> Iterator[CycleWitness]:
@@ -143,40 +163,89 @@ def _cycles_from(g: BiGraph, length: int, roots: range) -> Iterator[CycleWitness
         on_path[root] = False
 
 
+def _flag_cycle_count(g: BiGraph, length: int, l0: int) -> int:
+    """Number of simple cycles of an even, checked length through the edge (0, l0).
+
+    Each such cycle is counted once, as the path 0, l0, p1, ..., l_last
+    that closes back to 0 through a line other than l0. The last two
+    steps are not walked: from the L vertex before them, each unused
+    point p counts the unused lines that join p to 0.
+    """
+    adj = g.adjP + g.adjL
+    on_path = [False] * (g.nP + g.nL)
+    on_path[0] = on_path[l0] = True
+    back: dict[int, list[int]] = {}
+    for l in g.adjP[0]:
+        if l != l0:
+            for p in adj[l]:
+                back.setdefault(p, []).append(l)
+    last = length - 3
+
+    def extend(l: int, depth: int) -> int:
+        # l is the L vertex at path index depth.
+        n = 0
+        if depth == last:
+            for p in adj[l]:
+                if not on_path[p]:
+                    for l2 in back.get(p, ()):
+                        n += not on_path[l2]
+            return n
+        for p in adj[l]:
+            if on_path[p]:
+                continue
+            on_path[p] = True
+            for l2 in adj[p]:
+                if not on_path[l2]:
+                    on_path[l2] = True
+                    n += extend(l2, depth + 2)
+                    on_path[l2] = False
+            on_path[p] = False
+        return n
+
+    return extend(l0, 1)
+
+
 def iter_cycles(g: BiGraph, length: int) -> Iterator[CycleWitness]:
     """Canonically enumerate every simple cycle of exactly this length."""
     if length % 2:
         return
-    _check_cycle_length(g, length)
+    _check_cycle_length(g, length, BIG_CYCLE_VERTEX_CAP)
     yield from _cycles_from(g, length, range(g.nP))
 
 
 def count_cycles(g: BiGraph, length: int) -> tuple[int, CycleWitness | None]:
     """Exact count of simple cycles of the given length plus a witness.
 
-    On the moment graph only the cycles through P vertex 0 are
-    enumerated: each P vertex lies on the same number c0 of them and
-    each cycle has length/2 P vertices, so the total is
-    nP * c0 / (length/2). Vertex 0 has the smallest id, so the first of
-    them is also the first cycle of the full enumeration.
+    On the moment graph only the c_e cycles through the flag (P vertex 0,
+    L0) are counted: every edge lies on c_e of them and each cycle has
+    length edges, so the total is E * c_e / length, E the edge count; a
+    remainder raises RuntimeError. The witness is then the first cycle
+    of the canonical DFS from P vertex 0, which is the first cycle of
+    the full enumeration because vertex 0 has the smallest id; that DFS
+    runs only when the count is nonzero. Any other graph is enumerated
+    from every P vertex, under the smaller cap for lengths 10 and 12.
     """
     if length % 2:
         return 0, None
-    _check_cycle_length(g, length)
-    count = 0
-    first: CycleWitness | None = None
-    for w in _cycles_from(g, length, _roots(g)):
-        count += 1
-        if first is None:
-            first = w
-    if not g.is_moment_graph:
+    l0 = _flag(g)
+    _check_cycle_length(g, length, BIG_CYCLE_VERTEX_CAP if l0 is None else FLAG_CYCLE_VERTEX_CAP)
+    cycles = _cycles_from(g, length, _roots(g))
+    if l0 is None:
+        count = 0
+        first: CycleWitness | None = None
+        for w in cycles:
+            count += 1
+            if first is None:
+                first = w
         return count, first
-    total, rem = divmod(g.nP * count, length // 2)
+    c_e = _flag_cycle_count(g, length, l0)
+    edges = g.edge_count()
+    total, rem = divmod(edges * c_e, length)
     if rem:
         raise RuntimeError(
-            f"{g.nP} * {count} cycles through P vertex 0 is not a multiple of {length // 2}"
+            f"{edges} * {c_e} cycles through one edge is not a multiple of {length}"
         )
-    return total, first
+    return total, next(cycles) if total else None
 
 
 def l4_path_counts_from(g: BiGraph, p: int) -> Counter[int]:

@@ -32,7 +32,7 @@ from girthforge.moment import (
     moment_vector,
     points_on,
 )
-from girthforge.verify import CycleWitness, iter_cycles
+from girthforge.verify import CycleWitness, _cycles_from, iter_cycles
 
 # Environment for a `python -m girthforge` child process: it imports the
 # same girthforge as the tests, whether or not the package is installed.
@@ -412,6 +412,21 @@ def set_parse(text: str) -> BiGraph:
             raise ValueError(f"edge {ln!r} is not strictly after the edge before it")
         pairs.append(pair)
     return from_edges(nP, nL, pairs, meta=(field, k))
+
+
+def vertex_rooted_count(g: BiGraph, length: int) -> int:
+    """The moment graph's cycle count from the cycles through P vertex 0.
+
+    Translations act regularly on P, so each P vertex lies on the same
+    number c0 of cycles, and each cycle has length/2 P vertices: the
+    total is nP * c0 / (length/2). c0 comes from the canonical DFS from
+    P vertex 0, which shares no step with the flag-rooted count.
+    """
+    c0 = sum(1 for _ in _cycles_from(g, length, range(1)))
+    total, rem = divmod(g.nP * c0, length // 2)
+    if rem:
+        raise ValueError(f"{g.nP} * {c0} is not a multiple of {length // 2}")
+    return total
 
 
 def witness_directions(g: BiGraph, w: CycleWitness) -> list[int]:

@@ -386,8 +386,11 @@ def test_parse_agrees_with_set_parse_on_mutations(name, text, kind):
         bad = _mutate(text, kind, rng)
         got = _outcome(parse, bad)
         assert got == _outcome(set_parse, bad)
-        # An empty line is skipped; every other defect is refused.
-        assert isinstance(got, BiGraph) == (bad.count("\n\n") == 1)
+        # Every defect is refused, an empty line included.
+        assert not isinstance(got, BiGraph)
+        if kind == "blank":
+            blank = r"line \d+ is blank|edge '( |\\t)': expected two integer ids"
+            assert re.fullmatch(blank, got[1])
         if kind in MALFORMED:
             assert re.fullmatch(r"edge '[^']*': expected two integer ids", got[1])
         if kind == "non-integer-header":
@@ -408,6 +411,33 @@ def test_parse_agrees_with_set_parse_on_mutations(name, text, kind):
     ids=["one-token", "non-integer", "three-tokens", "header-value"],
 )
 def test_parse_names_a_malformed_line_as_written(text, message):
+    assert _outcome(parse, text) == _outcome(set_parse, text) == (ValueError, message)
+
+
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        (
+            D22_TEXT.replace("p=2 m=1 k=2", "k=2 m=1 p=2"),
+            "header 'girthforge-v1 k=2 m=1 p=2 nP=4 nL=4 e=8': "
+            "expected 'girthforge-v1 p=2 m=1 k=2 nP=4 nL=4 e=8'",
+        ),
+        (
+            D22_TEXT.replace(" nL=", "  nL="),
+            "header 'girthforge-v1 p=2 m=1 k=2 nP=4  nL=4 e=8': "
+            "expected 'girthforge-v1 p=2 m=1 k=2 nP=4 nL=4 e=8'",
+        ),
+        (
+            D22_TEXT.replace("e=8", "e=08"),
+            "header 'girthforge-v1 p=2 m=1 k=2 nP=4 nL=4 e=08': "
+            "expected 'girthforge-v1 p=2 m=1 k=2 nP=4 nL=4 e=8'",
+        ),
+        (D22_TEXT.replace("1 4\n", "\n1 4\n"), "line 4 is blank"),
+        (D22_TEXT + "\n", "line 10 is blank"),
+    ],
+    ids=["permuted-keys", "doubled-space", "leading-zero", "blank-line", "blank-last-line"],
+)
+def test_parse_refuses_spellings_that_do_not_round_trip(text, message):
     assert _outcome(parse, text) == _outcome(set_parse, text) == (ValueError, message)
 
 

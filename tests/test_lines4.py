@@ -432,11 +432,8 @@ FAMILY_JUNK = [
 def family_texts(draw):
     """Near-valid family texts over q <= 4: lines written by genline_text,
     most of them canonicalised first, then at most one junk line, one
-    character of one line replaced, or one header value spoilt.
-
-    Header spelling (key order, spacing) and blank lines are not drawn:
-    the header reader shared with the edge-list format accepts either
-    without keeping it, so such a text parses but cannot round-trip.
+    blank line, one character of one line replaced, one header value
+    spoilt, the header keys permuted, or one header space doubled.
     """
     (p, m), field = draw(st.sampled_from(sorted(FAMILY_FIELDS.items())))
     coord = st.integers(0, field.q - 1)
@@ -447,18 +444,28 @@ def family_texts(draw):
         if any(d) and draw(st.integers(0, 7)):
             line = canonical_genline(field, x, d)
         body.append(genline_text(line))
-    defect = draw(st.sampled_from(["none", "none", "junk", "char", "header"]))
+    defect = draw(
+        st.sampled_from(["none", "none", "junk", "blank", "char", "header", "order", "spaces"])
+    )
     if defect == "junk":
         body.insert(draw(st.integers(0, len(body))), draw(st.sampled_from(FAMILY_JUNK)))
+    elif defect == "blank":
+        body.insert(draw(st.integers(0, len(body))), "")
     elif defect == "char" and body:
         i = draw(st.integers(0, len(body) - 1))
         j = draw(st.integers(0, len(body[i]) - 1))
         char = draw(st.sampled_from("0123456789,= abdirsex"))
         body[i] = body[i][:j] + char + body[i][j + 1 :]
     n = len(body) + draw(st.sampled_from([0, 0, 0, 0, 1, -1]))
-    head = f"girthforge-lines4 p={p} m={m} n={n}"
+    keys = [f"p={p}", f"m={m}", f"n={n}"]
+    if defect == "order":
+        keys = draw(st.permutations(keys))
+    head = " ".join(["girthforge-lines4", *keys])
     if defect == "header":
-        head = head.replace(draw(st.sampled_from([f"p={p}", f"m={m}", f"n={n}"])), "q=1")
+        head = head.replace(draw(st.sampled_from(keys)), "q=1")
+    elif defect == "spaces":
+        at = draw(st.sampled_from([i for i, c in enumerate(head) if c == " "]))
+        head = head[:at] + " " + head[at:]
     return "\n".join([head, *body]) + "\n"
 
 

@@ -6,13 +6,16 @@ checked line by line: the image of every line's point set must be the
 point set of a line of the graph, with the direction the algebra
 predicts. Translations keep the direction z, the dilation
 x_i -> lam^i * x_i sends z to lam * z, and Frobenius x_i -> x_i^p sends
-z to z^p. The searches start from P vertex 0 alone on any graph that
-``BiGraph.is_moment_graph`` certifies; the translations checked here,
-with field operations and without the certificate's id tables, are what
-makes that sound.
+z to z^p, and the shear S_c, x_i -> sum over j <= i of
+C(i, j) * c^(i-j) * x_j, sends z to z + c. The searches start from P
+vertex 0 alone, and the cycle counts from the one edge (P vertex 0, L0),
+on any graph that ``BiGraph.is_moment_graph`` certifies; the
+translations and shears checked here, with field operations and without
+the certificate's id tables, are what makes that sound.
 """
 
 from functools import lru_cache
+from math import comb
 
 import pytest
 
@@ -85,6 +88,30 @@ def test_frobenius_is_an_automorphism(q, k):
     field, g = make_field(*FIELDS[q]), _graph(q, k)
     images = _line_images(field, k, g, lambda x: tuple(field_pow(field, a, field.p) for a in x))
     _check_directions(field, k, images, lambda z: field_pow(field, z, field.p))
+
+
+@pytest.mark.parametrize("q,k", CASES)
+def test_shear_is_an_automorphism(q, k):
+    # (z + c)^i = sum over j <= i of C(i, j) * c^(i-j) * z^j in any
+    # commutative ring, so S_c maps the direction of z to that of z + c.
+    # An integer below p is the field element of the same id.
+    field, g = make_field(*FIELDS[q]), _graph(q, k)
+    coeff = [[comb(i, j) % field.p for j in range(i + 1)] for i in range(k)]
+    for c in field.elements():
+        cpow = [field_pow(field, c, e) for e in range(k)]
+
+        def shear(x):
+            out = []
+            for i in range(k):
+                s = 0
+                for j in range(i + 1):
+                    term = field.mul(coeff[i][j], field.mul(cpow[i - j], x[j]))
+                    s = field.add(s, term)
+                out.append(s)
+            return tuple(out)
+
+        images = _line_images(field, k, g, shear)
+        _check_directions(field, k, images, lambda z: field.add(z, c))
 
 
 def test_the_oracle_rejects_a_coordinate_swap():

@@ -5,12 +5,14 @@ from functools import cached_property
 
 import pytest
 
+from girthforge import verify
 from girthforge.errors import SizeLimitError
 from girthforge.gf import make_field
 from girthforge.graph import BiGraph, build
 from girthforge.moment import line_through, points_on
-from girthforge.oracle import naive_cycle_count
+from girthforge.oracle import NAIVE_LEN_CAP, NAIVE_VERTEX_CAP, naive_cycle_count
 from girthforge.verify import (
+    BIG_CYCLE_VERTEX_CAP,
     construction_report,
     count_cycles,
     find_c4,
@@ -30,6 +32,7 @@ from helpers import (
     path_fixture,
     random_bipartite,
     star_fixture,
+    vertex_rooted_count,
     witness_directions,
 )
 
@@ -38,6 +41,7 @@ F3 = make_field(3)
 F4 = make_field(2, 2)
 F5 = make_field(5)
 F7 = make_field(7)
+F8 = make_field(2, 3)
 
 # (field, k, lengths) on which rooted counts are compared with full
 # enumeration; nonzero counts include C8 = 4 at q=2 k=4, C8 = 81 at
@@ -48,6 +52,14 @@ ROOTED_CASES = (
     + [(F5, k, range(4, 9, 2)) for k in (2, 3)]
     + [(F4, 5, (6, 10))]
 )
+
+# (field, k, length, count) with nonzero counts, on which the count
+# through one edge is compared with the count through P vertex 0.
+FLAG_CASES = [(f, 2, 6, None) for f in (F3, F4, F5, F7, F8)] + [
+    (F5, 3, 8, 12_500),
+    (F7, 3, 8, 280_917),
+    (F3, 5, 12, 4_374),
+]
 
 
 def test_find_c4_on_k22():
@@ -183,6 +195,22 @@ def test_construction_report_passes():
         assert ("c10-free" in names) == (k >= 5)
 
 
+def _swapped_f3_k3():
+    """The q=3, k=3 graph with (p1, l1), (p2, l2) swapped for (p1, l2), (p2, l1).
+
+    Every degree and size stays, so only the rows themselves tell this
+    graph apart from the moment graph.
+    """
+    g = build(F3, 3)
+    pairs = {(p, l - g.nP) for p, l in edges(g)}
+    (p1, l1), (p2, l2) = next(
+        ((a, b) for a in sorted(pairs) for b in sorted(pairs)
+         if (a[0], b[1]) not in pairs and (b[0], a[1]) not in pairs)
+    )
+    swapped = pairs - {(p1, l1), (p2, l2)} | {(p1, l2), (p2, l1)}
+    return from_edges(g.nP, g.nL, sorted(swapped), meta=g.meta)
+
+
 def _doctored_f3_k2():
     """The q=3, k=2 graph with one extra edge."""
     g = build(F3, 2)
@@ -297,22 +325,80 @@ def test_translation_check_rejects_doctored_graph():
 
 
 def test_certificate_rejects_a_degree_preserving_swap():
-    # Swap (p1, l1), (p2, l2) for (p1, l2), (p2, l1): every degree and
-    # size stays, so only the rows themselves tell this graph apart.
-    g = build(F3, 3)
-    pairs = {(p, l - g.nP) for p, l in edges(g)}
-    (p1, l1), (p2, l2) = next(
-        ((a, b) for a in sorted(pairs) for b in sorted(pairs)
-         if (a[0], b[1]) not in pairs and (b[0], a[1]) not in pairs)
-    )
-    swapped = pairs - {(p1, l1), (p2, l2)} | {(p1, l2), (p2, l1)}
-    h = from_edges(g.nP, g.nL, sorted(swapped), meta=g.meta)
+    g, h = build(F3, 3), _swapped_f3_k3()
     assert sorted(map(len, h.adjP + h.adjL)) == sorted(map(len, g.adjP + g.adjL))
     assert g.is_moment_graph and not h.is_moment_graph
     for length in (4, 6, 8, 10):
         count = count_cycles(h, length)
         assert count == _full_count(h, length)
         assert count[0] == naive_cycle_count(h, length), length
+
+
+@pytest.mark.parametrize(
+    "field,k,length,expected",
+    FLAG_CASES,
+    ids=[f"q{f.q}-k{k}-c{n}" for f, k, n, _ in FLAG_CASES],
+)
+def test_flag_count_matches_vertex_rooted_count(field, k, length, expected):
+    g = build(field, k)
+    assert g.is_moment_graph
+    count, w = count_cycles(g, length)
+    assert count == vertex_rooted_count(g, length) > 0
+    assert expected is None or count == expected
+    if g.nP + g.nL <= NAIVE_VERTEX_CAP and length <= NAIVE_LEN_CAP:
+        assert count == naive_cycle_count(g, length)
+    assert w == next(iter_cycles(g, length))
+
+
+def test_flag_rule_follows_the_certificate(monkeypatch):
+    calls = []
+    flag_count = verify._flag_cycle_count
+
+    def spy(g, length, l0):
+        calls.append(g)
+        return flag_count(g, length, l0)
+
+    monkeypatch.setattr(verify, "_flag_cycle_count", spy)
+    for g, certified in (
+        (build(F3, 3), True),
+        (_swapped_f3_k3(), False),
+        (_doctored_f3_k2(), False),
+        (from_edges(2, 2, [(0, 0), (0, 1), (1, 0), (1, 1)], meta=(F2, 1)), False),
+    ):
+        for length in (4, 6, 8):
+            calls.clear()
+            assert count_cycles(g, length) == _full_count(g, length)
+            assert calls == ([g] if certified else []), (certified, length)
+
+
+def test_flag_count_refuses_a_total_that_is_not_whole(monkeypatch):
+    # 27 edges times one cycle per edge is not a multiple of 6.
+    monkeypatch.setattr(verify, "_flag_cycle_count", lambda g, length, l0: 1)
+    with pytest.raises(RuntimeError, match="27 \\* 1 cycles through one edge"):
+        count_cycles(build(F3, 2), 6)
+
+
+def test_flag_count_reaches_past_the_all_roots_cap():
+    # 2 * 7^5 = 33 614 vertices: C10 through one flag, refused from every root.
+    g = build(F7, 5)
+    assert g.nP + g.nL > BIG_CYCLE_VERTEX_CAP
+    assert count_cycles(g, 10) == (0, None)
+    with pytest.raises(SizeLimitError, match="exceeds cap 8192 for length >= 10"):
+        next(iter_cycles(g, 10))
+    with pytest.raises(SizeLimitError, match="exceeds cap 8192 for length >= 10"):
+        count_cycles(dataclasses.replace(g, meta=None), 10)
+
+
+def test_flag_cycle_vertex_cap(monkeypatch):
+    g = build(F4, 5)
+    n = g.nP + g.nL
+    monkeypatch.setattr(verify, "FLAG_CYCLE_VERTEX_CAP", n)
+    assert count_cycles(g, 10) == (0, None)
+    monkeypatch.setattr(verify, "FLAG_CYCLE_VERTEX_CAP", n - 1)
+    with pytest.raises(SizeLimitError, match=f"^{n} vertices exceeds cap {n - 1} for length"):
+        count_cycles(g, 10)
+    # Lengths up to 8 are not capped.
+    assert count_cycles(g, 8)[0] == vertex_rooted_count(g, 8) == 13_824
 
 
 def test_translation_check_counts_repeated_rows():
