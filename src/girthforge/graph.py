@@ -24,12 +24,18 @@ Edge-list file format ``girthforge-v1``::
     <P-id> <L-global-id>
 
 one edge per line, ascending lexicographic, LF only, trailing newline.
-A bare variant drops the header for third-party tools.
+A bare variant drops the header for third-party tools. ``parse`` reads
+back only what ``to_text`` writes: each edge line is two plain ASCII
+decimals (no sign, underscore or leading zero) one space apart, and
+every line ends in LF, the last one included. Neither direction holds
+the body twice: ``export`` writes one P row at a time to its sink, and
+``parse`` reads one P row at a time out of the text it is given.
 """
 
 from __future__ import annotations
 
 import operator
+import re
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import product
@@ -163,50 +169,60 @@ def stats(g: BiGraph) -> GraphStats:
     )
 
 
-def to_text(g: BiGraph, fmt: str = "v1") -> str:
+def _render(g: BiGraph, fmt: str) -> Iterator[str]:
+    """The export text in chunks: the v1 header line, then one chunk for
+    each P row with an edge, every line ending in LF. A bad fmt, or v1
+    without metadata, raises before the first chunk."""
     if fmt not in ("v1", "bare"):
         raise ValueError(f"unknown format {fmt!r}")
-    lines = []
+    e = g.edge_count()
     if fmt == "v1":
         if g.meta is None:
             raise ValueError("v1 export needs (field, k) metadata; use bare")
         field, k = g.meta
-        lines.append(
-            f"{FORMAT_V1} p={field.p} m={field.m} k={k} "
-            f"nP={g.nP} nL={g.nL} e={g.edge_count()}"
-        )
-    # adjP order is the file's order: each line is str(p), made once per
-    # row, plus a suffix made once per L vertex; an empty row adds no line.
+        yield f"{FORMAT_V1} p={field.p} m={field.m} k={k} nP={g.nP} nL={g.nL} e={e}\n"
+    elif not e:
+        yield "\n"  # a bare export is never empty: an edgeless one is one blank line
+    # adjP order is the file's order: a row's chunk is str(p), made once
+    # per row, before each of its L vertices' suffixes, made once each.
     nP = g.nP
-    suffixes = [f" {l}" for l in range(nP, nP + g.nL)]
+    suffixes = [f" {l}\n" for l in range(nP, nP + g.nL)]
     for p, row in enumerate(g.adjP):
         if row:
             ps = str(p)
-            lines.append("\n".join([ps + suffixes[l - nP] for l in row]))
-    return "\n".join(lines) + "\n"
+            yield ps + ps.join([suffixes[l - nP] for l in row])
+
+
+def to_text(g: BiGraph, fmt: str = "v1") -> str:
+    return "".join(_render(g, fmt))
 
 
 def export(g: BiGraph, sink: IO[str], fmt: str = "v1") -> None:
-    """Write the edge list to an open text sink; I/O errors propagate."""
-    sink.write(to_text(g, fmt))
+    """Write the edge list to an open text sink one P row at a time, so
+    the whole text is never held; I/O errors propagate."""
+    for chunk in _render(g, fmt):
+        sink.write(chunk)
 
 
 def read_headed_text(
     text: str, magic: str, keys: tuple[str, ...], count_key: str
-) -> tuple[dict[str, int], list[str]]:
-    """Split a text file into its header values and its body lines.
+) -> tuple[dict[str, int], int]:
+    """Check a text file's header and line structure; return the header
+    values and the offset of the first body line.
 
     The first line is the magic word followed by one ``key=int`` token
     for each of keys, spelled as the writers spell it: the keys in the
-    order given, one space before each, plain decimal values. No body
-    line may be empty, and the body must hold as many lines as the
-    header's count_key promises. So every text that is read back is
-    the one its parsed value writes.
+    order given, one space before each, plain decimal values. Every line
+    ends in LF, the last one included, no body line may be empty, and
+    the body must hold as many lines as the header's count_key promises.
+    So every text that is read back is the one its parsed value writes.
+    The checks copy no part of the body; callers read it from the offset.
     """
-    lines = text.splitlines()
-    if not lines:
+    if not text:
         raise ValueError("empty input")
-    head = lines[0].split()
+    start = text.find("\n") + 1
+    first = text[: start - 1] if start else text
+    head = first.split()
     if not head or head[0] != magic:
         raise ValueError(f"not a {magic} file")
     kv: dict[str, int] = {}
@@ -226,26 +242,58 @@ def read_headed_text(
     if missing:
         raise ValueError(f"header lacks {', '.join(missing)}")
     spelled = " ".join([magic, *(f"{key}={kv[key]}" for key in keys)])
-    if lines[0] != spelled:
-        raise ValueError(f"header {lines[0]!r}: expected {spelled!r}")
-    body = lines[1:]
-    if "" in body:
-        raise ValueError(f"line {body.index('') + 2} is blank")
-    if len(body) != kv[count_key]:
-        raise ValueError(
-            f"header says {count_key}={kv[count_key]}, body has {len(body)} lines"
-        )
-    return kv, body
+    if first != spelled:
+        raise ValueError(f"header {first!r}: expected {spelled!r}")
+    if not text.endswith("\n"):
+        n, last = text.count("\n") + 1, text[text.rfind("\n") + 1 :]
+        raise ValueError(f"line {n} {last!r} does not end in a newline")
+    blank = text.find("\n\n", start - 1)
+    if blank >= 0:
+        n = text.count("\n", 0, blank + 1) + 1
+        raise ValueError(f"line {n} is blank")
+    lines = text.count("\n", start)
+    if lines != kv[count_key]:
+        raise ValueError(f"header says {count_key}={kv[count_key]}, body has {lines} lines")
+    return kv, start
+
+
+def _fault(text: str, pos: int, nP: int, nL: int, prev: tuple[int, int]) -> ValueError:
+    """The error that names the first edge line at or after pos which is
+    not the next edge after prev, spelled as to_text writes it; parse
+    calls it only where such a line exists."""
+    end = nP + nL
+    while True:
+        stop = text.index("\n", pos)
+        ln = text[pos:stop]
+        try:
+            ps, ls = ln.split()
+            edge = int(ps), int(ls)
+        except ValueError:
+            return ValueError(f"edge {ln!r}: expected two integer ids")
+        pid, lid = edge
+        if not 0 <= pid < nP <= lid < end:
+            bad = ps if not 0 <= pid < nP else ls
+            return ValueError(
+                f"edge {ln!r}: id {bad} out of range (P ids 0..{nP - 1}, L ids {nP}..{end - 1})"
+            )
+        if ln != f"{pid} {lid}":
+            return ValueError(f"edge {ln!r}: expected '{pid} {lid}'")
+        if edge <= prev:
+            return ValueError(f"edge {ln!r} is not strictly after the edge before it")
+        prev, pos = edge, stop + 1
 
 
 def parse(text: str) -> BiGraph:
     """Re-import a v1 export; the result round-trips through to_text.
 
-    The edges must come in strictly ascending (P id, L id) order, so
-    appending each edge to its L row as it is read leaves every L row
-    sorted and free of duplicates; from_rows makes the P rows.
+    Each body line must be spelled as to_text writes it: two plain
+    decimal ids, one space apart. The edges must come in strictly
+    ascending (P id, L id) order, so appending each edge to its L row as
+    it is read leaves every L row sorted and free of duplicates;
+    from_rows makes the P rows. The body is read one P row at a time out
+    of the text itself, and a row's edges share one int for its P id.
     """
-    kv, body = read_headed_text(
+    kv, pos = read_headed_text(
         text, FORMAT_V1, ("p", "m", "k", "nP", "nL", "e"), "e"
     )
     p, m, k, nP, nL = kv["p"], kv["m"], kv["k"], kv["nP"], kv["nL"]
@@ -255,20 +303,27 @@ def parse(text: str) -> BiGraph:
         raise ValueError(f"nP={nP} nL={nL} do not match (p^m)^k for p={p} m={m} k={k}")
     end = nP + nL
     adj_l: list[list[int]] = [[] for _ in range(nL)]
-    last_p, last_l = -1, 0
-    for ln in body:
+    # One P row as to_text writes it: lines "<P id> <L id>", plain decimals
+    # one space apart, with the same P id (L ids are >= nP >= 1). A row
+    # passes the checks below exactly when each of its lines passes those
+    # of _fault, which otherwise names the first line that fails.
+    row = re.compile(r"(0|[1-9][0-9]*) [1-9][0-9]*\n(?:\1 [1-9][0-9]*\n)*")
+    last_p = last_l = -1
+    while pos < len(text) and (match := row.match(text, pos)):
+        ids = match[0].split()
         try:
-            ps, ls = ln.split()
-            pid, lid = int(ps), int(ls)
-        except ValueError:
-            raise ValueError(f"edge {ln!r}: expected two integer ids") from None
-        if not 0 <= pid < nP <= lid < end:
-            bad = ps if not 0 <= pid < nP else ls
-            raise ValueError(
-                f"edge {ln!r}: id {bad} out of range (P ids 0..{nP - 1}, L ids {nP}..{end - 1})"
-            )
-        if pid <= last_p and (pid < last_p or lid <= last_l):
-            raise ValueError(f"edge {ln!r} is not strictly after the edge before it")
-        adj_l[lid - nP].append(pid)
-        last_p, last_l = pid, lid
+            pid, lids = int(ids[0]), [*map(int, ids[1::2])]
+        except ValueError:  # an id past int()'s digit limit
+            break
+        if not (
+            last_p < pid < nP <= lids[0]
+            and lids[-1] < end
+            and all(map(operator.lt, lids, lids[1:]))
+        ):
+            break
+        for lid in lids:
+            adj_l[lid - nP].append(pid)
+        last_p, last_l, pos = pid, lids[-1], match.end()
+    if pos < len(text):
+        raise _fault(text, pos, nP, nL, (last_p, last_l))
     return from_rows(nP, adj_l, (field, k))

@@ -302,7 +302,7 @@ def write_family(field: Field, family: Iterable[GenLine], sink: IO[str]) -> None
 
 def parse_family(text: str) -> tuple[int, int, list[GenLine]]:
     """Read a family file back as (p, m, lines); every line must be canonical."""
-    kv, body = read_headed_text(text, FAMILY_FORMAT, ("p", "m", "n"), "n")
+    kv, start = read_headed_text(text, FAMILY_FORMAT, ("p", "m", "n"), "n")
     # Refused before make_field scans for a modulus of a field no family
     # search could cover.
     q = field_order(kv["p"], kv["m"])
@@ -310,7 +310,7 @@ def parse_family(text: str) -> tuple[int, int, list[GenLine]]:
         raise SizeLimitError(f"q^{DIM} = {q**DIM} exceeds line cap {LINE_CAP}")
     field = make_field(kv["p"], kv["m"])
     fam = []
-    for ln in body:
+    for ln in text[start:].split("\n")[:-1]:
         dpart, _, bpart = ln.partition(" base=")
         try:
             line = GenLine(

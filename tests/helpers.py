@@ -383,10 +383,11 @@ def edges(g: BiGraph) -> Iterator[tuple[int, int]]:
 
 
 def set_parse(text: str) -> BiGraph:
-    """The reference for graph.parse: validate every edge into a pairs
-    list, then let from_edges collect each vertex's neighbours in a set
-    and sort them. Same header checks, same messages."""
-    kv, body = read_headed_text(
+    """The reference for graph.parse: split the body into lines, validate
+    every edge into a pairs list, then let from_edges collect each
+    vertex's neighbours in a set and sort them. Same header checks, same
+    spelling rule for edge lines, same messages."""
+    kv, start = read_headed_text(
         text, FORMAT_V1, ("p", "m", "k", "nP", "nL", "e"), "e"
     )
     p, m, k, nP, nL = kv["p"], kv["m"], kv["k"], kv["nP"], kv["nL"]
@@ -396,7 +397,7 @@ def set_parse(text: str) -> BiGraph:
         raise ValueError(f"nP={nP} nL={nL} do not match (p^m)^k for p={p} m={m} k={k}")
     end = nP + nL
     pairs = []
-    for ln in body:
+    for ln in text[start:].split("\n")[:-1]:
         try:
             ps, ls = ln.split()
             pid, lid = int(ps), int(ls)
@@ -407,6 +408,8 @@ def set_parse(text: str) -> BiGraph:
             raise ValueError(
                 f"edge {ln!r}: id {bad} out of range (P ids 0..{nP - 1}, L ids {nP}..{end - 1})"
             )
+        if ln != f"{pid} {lid}":
+            raise ValueError(f"edge {ln!r}: expected '{pid} {lid}'")
         pair = (pid, lid - nP)
         if pairs and pair <= pairs[-1]:
             raise ValueError(f"edge {ln!r} is not strictly after the edge before it")

@@ -1,7 +1,9 @@
+import dataclasses
 import io
 import itertools
 import random
 import re
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -148,6 +150,49 @@ def test_bare_needs_no_meta_but_v1_does():
     assert to_text(g, "bare") == "0 1\n"
     with pytest.raises(ValueError):
         to_text(g, "v1")
+
+
+def _reference_text(g: BiGraph, fmt: str) -> str:
+    """The export built from its lines: the v1 header, then one
+    '<P id> <L id>' line per edge in order, each ending in LF."""
+    lines = [f"{p} {l}" for p, l in edges(g)]
+    if fmt == "v1":
+        field, k = g.meta
+        head = f"girthforge-v1 p={field.p} m={field.m} k={k} nP={g.nP} nL={g.nL}"
+        lines.insert(0, f"{head} e={len(lines)}")
+    return "\n".join(lines) + "\n"
+
+
+WRITER_GRAPHS = {
+    **{f"random-{seed}": random_bipartite(seed) for seed in range(20)},
+    "edgeless": from_edges(3, 2, []),  # bare: one blank line; v1: the header
+    "isolated": from_edges(5, 4, [(1, 0), (1, 3), (3, 2)]),
+    "isolated-l": from_edges(2, 6, [(0, 5), (1, 5)]),
+    "d22": build(F2, 2),
+    "f3-k3": build(F3, 3),
+}
+
+
+@pytest.mark.parametrize("fmt", ["v1", "bare"])
+@pytest.mark.parametrize("name", WRITER_GRAPHS)
+def test_export_streams_the_bytes_of_to_text(name, fmt):
+    g = WRITER_GRAPHS[name]
+    if g.meta is None:
+        # The writer copies the metadata into the header unchecked.
+        g = dataclasses.replace(g, meta=(F2, 2))
+    sink = io.StringIO()
+    export(g, sink, fmt)
+    assert sink.getvalue() == to_text(g, fmt) == _reference_text(g, fmt)
+
+
+@pytest.mark.parametrize(
+    "g,fmt", [(build(F2, 2), "gml"), (from_edges(1, 1, [(0, 0)]), "v1")], ids=["gml", "v1-no-meta"]
+)
+def test_export_raises_before_anything_reaches_the_sink(g, fmt):
+    sink = io.StringIO()
+    with pytest.raises(ValueError):
+        export(g, sink, fmt)
+    assert sink.getvalue() == ""
 
 
 def test_parse_round_trip():
@@ -407,8 +452,14 @@ def test_parse_agrees_with_set_parse_on_mutations(name, text, kind):
             D22_HEAD.replace("p=2", "p=x") + "0\n",
             "header field 'p=x': expected an integer value",
         ),
+        # Past int()'s digit limit, opening a row and inside one.
+        (D22_HEAD + f"1\n0 {'4' * 5000}\n", f"edge '0 {'4' * 5000}': expected two integer ids"),
+        (
+            D22_HEAD + f"2\n0 4\n0 {'6' * 5000}\n",
+            f"edge '0 {'6' * 5000}': expected two integer ids",
+        ),
     ],
-    ids=["one-token", "non-integer", "three-tokens", "header-value"],
+    ids=["one-token", "non-integer", "three-tokens", "header-value", "huge-id", "huge-id-in-row"],
 )
 def test_parse_names_a_malformed_line_as_written(text, message):
     assert _outcome(parse, text) == _outcome(set_parse, text) == (ValueError, message)
@@ -434,11 +485,65 @@ def test_parse_names_a_malformed_line_as_written(text, message):
         ),
         (D22_TEXT.replace("1 4\n", "\n1 4\n"), "line 4 is blank"),
         (D22_TEXT + "\n", "line 10 is blank"),
+        (
+            D22_TEXT.replace("\n", "\r\n"),
+            "header 'girthforge-v1 p=2 m=1 k=2 nP=4 nL=4 e=8\\r': "
+            "expected 'girthforge-v1 p=2 m=1 k=2 nP=4 nL=4 e=8'",
+        ),
+        (D22_TEXT.replace("0 6\n", "0 6\r\n"), "edge '0 6\\r': expected '0 6'"),
+        (D22_TEXT.replace("2 5\n", "2 5\r\n"), "edge '2 5\\r': expected '2 5'"),
+        (D22_TEXT[:-1], "line 9 '3 6' does not end in a newline"),
+        (D22_HEAD + "0", "line 1 'girthforge-v1 p=2 m=1 k=2 nP=4 nL=4 e=0' does not end in a newline"),
     ],
-    ids=["permuted-keys", "doubled-space", "leading-zero", "blank-line", "blank-last-line"],
+    ids=[
+        "permuted-keys",
+        "doubled-space",
+        "leading-zero",
+        "blank-line",
+        "blank-last-line",
+        "crlf",
+        "crlf-in-row",
+        "crlf-opening-row",
+        "no-final-newline",
+        "header-without-newline",
+    ],
 )
 def test_parse_refuses_spellings_that_do_not_round_trip(text, message):
     assert _outcome(parse, text) == _outcome(set_parse, text) == (ValueError, message)
+
+
+HEAD16 = "girthforge-v1 p=2 m=1 k=4 nP=16 nL=16 e="
+
+# Edge lines that str.split() and int() read as (P id, L id) but that
+# to_text never writes, each with the spelling it would write.
+SPELLINGS = [
+    ("0 17\t", "0 17"),
+    ("0\t17", "0 17"),
+    ("0  17", "0 17"),
+    ("+1 17", "1 17"),
+    ("01 17", "1 17"),
+    ("1_0 17", "10 17"),
+    ("\u0663 17", "3 17"),
+    ("0 17\r", "0 17"),
+    (" 0 17", "0 17"),
+    ("0 017", "0 17"),
+    ("0 +17", "0 17"),
+    ("0 1_7", "0 17"),
+    ("0 \u06617", "0 17"),
+]
+
+
+@pytest.mark.parametrize("opens_row", [True, False], ids=["opens-row", "in-row"])
+@pytest.mark.parametrize("line,spelled", SPELLINGS, ids=[repr(ln) for ln, _ in SPELLINGS])
+def test_parse_refuses_edge_spellings_that_to_text_never_writes(line, spelled, opens_row):
+    # In a row opened by the canonical "<p> 16", the line is the row's
+    # second edge.
+    body = [line] if opens_row else [f"{spelled.split()[0]} 16", line]
+    text = f"{HEAD16}{len(body)}\n" + "\n".join(body) + "\n"
+    expected = (ValueError, f"edge {line!r}: expected {spelled!r}")
+    assert _outcome(parse, text) == _outcome(set_parse, text) == expected
+    good = text.replace(line, spelled)
+    assert to_text(parse(good)) == good
 
 
 FUZZ_SHAPES = [(2, 1, 2), (3, 1, 2), (2, 2, 2), (2, 1, 3)]
@@ -457,7 +562,9 @@ def edge_list_texts(draw):
     body = [f"{a} {b}" for a, b in pairs]
     junk = st.sampled_from(
         ["", " ", "0", f"0 {n} 1", "x 4", f"1  {n}", f"+1 {n}",
-         f"-1 {n}", f"{n} {n}", f"0 {2 * n}", f"0 {n - 1}"]
+         f"-1 {n}", f"{n} {n}", f"0 {2 * n}", f"0 {n - 1}",
+         f"0 {n}\t", f"0\t{n}", f"01 {n}", f"1_0 {n}", f"\u0663 {n}",
+         f"0 {n}\r", f"0 0{n}", f"0 +{n}"]
     )
     for at, ln in draw(st.lists(st.tuples(st.integers(0, len(body)), junk), max_size=1)):
         body.insert(at, ln)
@@ -473,5 +580,50 @@ def test_parse_fuzz_round_trips_or_raises(text):
     got = _outcome(parse, text)
     assert got == _outcome(set_parse, text)
     if isinstance(got, BiGraph):
+        # Only the text that to_text writes is read back: every junk line,
+        # a doubled space or a sign among them, is refused.
+        assert to_text(got) == text
         assert parse(to_text(got)) == got
-        assert to_text(got).splitlines()[1:] == [f"{p} {l}" for p, l in edges(got)]
+
+
+GF16_K3_TEXT = to_text(build(make_field(2, 4), 3))
+
+
+def _traced_peak(fn) -> int:
+    """Peak bytes that tracemalloc counts while fn runs: a count of
+    allocations, the same on every run, unlike RSS or time."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        fn()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+def test_parse_allocates_a_small_multiple_of_its_text():
+    # 65 536 edges in 637 650 characters. Splitting the body into line
+    # strings, with an int per edge, took 14.4x the text; reading it one
+    # P row at a time takes 5.1x, the parsed graph included.
+    peak = _traced_peak(lambda: parse(GF16_K3_TEXT))
+    assert peak < 8 * len(GF16_K3_TEXT)
+
+
+class _CountingSink:
+    """A text sink that keeps only how many characters reach it."""
+
+    def __init__(self) -> None:
+        self.chars = 0
+
+    def write(self, chunk: str) -> None:
+        self.chars += len(chunk)
+
+
+def test_export_never_holds_the_whole_text():
+    # Joining the whole text before writing it took 3.8x the text;
+    # writing one P row at a time takes 0.41x.
+    g = parse(GF16_K3_TEXT)
+    sink = _CountingSink()
+    peak = _traced_peak(lambda: export(g, sink))
+    assert sink.chars == len(GF16_K3_TEXT)
+    assert peak < len(GF16_K3_TEXT)

@@ -357,6 +357,31 @@ def test_parse_family_rejects_bad_header(head):
         parse_family(head + "\ndir=1,0,0,0 base=0,0,0,0\n")
 
 
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        (
+            "girthforge-lines4 p=2 m=1 n=1\r\ndir=1,0,0,0 base=0,0,0,0\r\n",
+            "header 'girthforge-lines4 p=2 m=1 n=1\\r': expected 'girthforge-lines4 p=2 m=1 n=1'",
+        ),
+        (
+            "girthforge-lines4 p=2 m=1 n=1\ndir=1,0,0,0 base=0,0,0,0\r\n",
+            "line 'dir=1,0,0,0 base=0,0,0,0\\r': expected dir=<ints> base=<ints>",
+        ),
+        (
+            "girthforge-lines4 p=2 m=1 n=1\ndir=1,0,0,0 base=0,0,0,0",
+            "line 2 'dir=1,0,0,0 base=0,0,0,0' does not end in a newline",
+        ),
+    ],
+    ids=["crlf", "crlf-in-body", "no-final-newline"],
+)
+def test_parse_family_reads_lf_terminated_lines_only(text, message):
+    # write_family ends every line in LF; any other ending is refused.
+    with pytest.raises(ValueError) as exc:
+        parse_family(text)
+    assert str(exc.value) == message
+
+
 def test_parse_family_refuses_a_field_past_the_line_cap_before_the_modulus_scan(monkeypatch):
     def unreachable(p, m):
         raise AssertionError(f"modulus scan of GF({p}^{m})")
