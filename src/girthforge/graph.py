@@ -2,21 +2,22 @@
 
 P-side vertices are the q^k points of GF(q)^k, numbered base-q by their
 coordinates. L-side vertices are the q^k canonical moment lines,
-numbered by (direction, base) and offset by nP into a shared ID space,
-so any int >= nP names a line. Adjacency is kept sorted on both sides,
-which makes traversals cheap from either side and every exported
-artifact byte-reproducible.
+numbered by (direction z, base) with z as the top digit, and offset by
+nP into a shared ID space, so any int >= nP names a line. Adjacency is
+kept sorted on both sides, which makes traversals cheap from either
+side and every exported artifact byte-reproducible.
 
-The L rows come from integer id tables. A line of direction z is the
-line through the origin, {y * (1, z, ..., z^(k-1))}, translated by its
-base (0, b_1, ..., b_(k-1)), so its y-th point has id
-y + sum over i >= 1 of (b_i + y * z^i) * q^i. For each z and each
-coordinate i >= 1 the q lists [(c + y * z^i) * q^i for y], one for
-each c, are made once from the origin line's points; a line's ids are
-then y plus the element-wise sum of the lists its base digits pick.
-The same rows certify a graph: one that carries (field, k) is the
-moment graph exactly when its L rows equal them, row by row. The
-searches in ``verify`` rest every symmetry they use on that one check.
+Each side is a ``rows.Rows``: one flat ``array('i')`` of its rows laid
+end to end, plus the row starts, a range on every built or parsed
+moment graph. ``build`` fills both sides from ``moment.line_blocks``
+and ``moment.point_blocks``, which write the rows already sorted, one
+block at a time into arrays allocated once, so no side is held twice.
+``parse`` stores the P rows as it reads them, ``from_rows`` the L rows
+it is given, and each fills the other side with one counting transpose.
+The line blocks also certify a graph: one that carries (field, k) is
+the moment graph exactly when both sides are q-regular and its L array
+equals them, block by block. The searches in ``verify`` rest every
+symmetry they use on that one check.
 
 Edge-list file format ``girthforge-v1``::
 
@@ -36,21 +37,24 @@ from __future__ import annotations
 
 import operator
 import re
+from array import array
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import product
+from itertools import chain, repeat
 from typing import IO, Iterable, Iterator
 
 from girthforge.gf import Field, make_field
 from girthforge.moment import (
+    EDGE_CAP,
     K_MAX,
     K_MIN,
-    LINE_CAP,
     MomentLine,
     Point,
     check_lines,
-    points_on,
+    line_blocks,
+    point_blocks,
 )
+from girthforge.rows import Rows, fill, transpose
 
 FORMAT_V1 = "girthforge-v1"
 
@@ -59,41 +63,55 @@ FORMAT_V1 = "girthforge-v1"
 class BiGraph:
     """Immutable bipartite graph with sorted dual adjacency.
 
-    adjP[p] holds global L ids (>= nP); adjL[l] holds P ids. meta is
-    (field, k) for built incidence graphs and None for ad-hoc fixtures.
+    adjP[p] holds global L ids (>= nP); adjL[l] holds P ids. The two
+    sides mirror each other: build, parse and from_rows each make one
+    from the other or both from the same algebra. meta is (field, k)
+    for built incidence graphs and None for ad-hoc fixtures.
     """
 
     nP: int
     nL: int
-    adjP: tuple[tuple[int, ...], ...]
-    adjL: tuple[tuple[int, ...], ...]
+    adjP: Rows
+    adjL: Rows
     meta: tuple[Field, int] | None = None
 
     def edge_count(self) -> int:
-        return sum(len(a) for a in self.adjP)
+        return len(self.adjP.flat)
 
-    def neighbors(self, v: int) -> tuple[int, ...]:
+    def neighbors(self, v: int) -> array:
         return self.adjP[v] if v < self.nP else self.adjL[v - self.nP]
 
     @cached_property
     def is_moment_graph(self) -> bool:
         """True if this is the moment graph of its (field, k) metadata.
 
-        That holds exactly when nP = nL = q^k and every L row equals the
-        row moment_rows makes for it; the rows are streamed, not stored.
-        Every symmetry the searches use follows from the construction's
-        algebra: translations x -> x + t map each line to a parallel
-        line and act regularly on P, so on the moment graph P vertex 0
-        stands for every P vertex. Metadata no moment graph can have,
-        or a size past the line cap, gives False; the check never
-        raises. The answer is computed once per graph and dies with it.
+        That holds exactly when nP = nL = q^k, both sides are q-regular
+        and the L array equals the one build writes; it is compared one
+        direction at a time, never generated whole. Every symmetry the
+        searches use follows from the construction's algebra:
+        translations x -> x + t map each line to a parallel line and act
+        regularly on P, so on the moment graph P vertex 0 stands for
+        every P vertex. Metadata no moment graph can have, or a size
+        past the edge cap, gives False; the check never raises. The
+        answer is computed once per graph and dies with it.
         """
         if self.meta is None:
             return False
         field, k = self.meta
-        if not (K_MIN <= k <= K_MAX and self.nP == self.nL == field.q**k <= LINE_CAP):
+        q = field.q
+        if not (K_MIN <= k <= K_MAX and self.nP == self.nL == q**k and q**(k + 1) <= EDGE_CAP):
             return False
-        return all(map(operator.eq, self.adjL, moment_rows(field, k)))
+        regular = range(0, q ** (k + 1) + 1, q)
+        if self.adjP.starts != regular or self.adjL.starts != regular:
+            return False
+        with memoryview(self.adjL.flat) as mv, mv.cast("B") as view:
+            pos = 0
+            for block in line_blocks(field, k):
+                end = pos + len(block)
+                if view[pos:end].tobytes() != block:
+                    return False
+                pos = end
+        return True
 
 
 @dataclass(frozen=True)
@@ -120,45 +138,29 @@ def line_id(field: Field, line: MomentLine) -> int:
     return line.z * field.q ** (len(line.base) - 1) + point_id(field, line.base[1:])
 
 
-def moment_rows(field: Field, k: int) -> Iterator[tuple[int, ...]]:
-    """Each L row's sorted point ids, in L-id order (see the module docstring)."""
-    check_lines(field, k)
-    q = field.q
-    ys = range(q)
-    for z in field.elements():
-        origin = points_on(field, MomentLine(z, (0,) * k))
-        tables = [
-            [[field.add(c, pt[i]) * q**i for pt in origin] for c in ys]
-            for i in range(1, k)
-        ]
-        # The last digit varies slowest, matching the L-id order.
-        for picks in product(*reversed(tables)):
-            yield tuple(sorted(map(sum, zip(ys, *picks))))
-
-
 def build(field: Field, k: int) -> BiGraph:
     """Assemble the incidence graph between GF(q)^k and its moment lines."""
-    adj_l = tuple(moment_rows(field, k))
-    return from_rows(len(adj_l), adj_l, (field, k))
+    check_lines(field, k)
+    q = field.q
+    n, e = q**k, q ** (k + 1)
+    starts = range(0, e + 1, q)
+    adj_l = Rows(fill(line_blocks(field, k), e), starts)
+    adj_p = Rows(fill(point_blocks(field, k), e), starts)
+    return BiGraph(n, n, adj_p, adj_l, (field, k))
 
 
 def from_rows(
     nP: int, adj_l: Iterable[Iterable[int]], meta: tuple[Field, int] | None = None
 ) -> BiGraph:
     """The BiGraph whose L rows are adj_l, each strictly ascending P ids in
-    [0, nP); filling the P rows in ascending L-id order leaves them sorted."""
-    adj_l = tuple(map(tuple, adj_l))
-    adj_p: list[list[int]] = [[] for _ in range(nP)]
-    for lid, row in enumerate(adj_l, nP):
-        for pid in row:
-            adj_p[pid].append(lid)
-    return BiGraph(nP, len(adj_l), tuple(map(tuple, adj_p)), adj_l, meta)
+    [0, nP); the P rows are their transpose."""
+    rows = Rows.of(adj_l)
+    return BiGraph(nP, len(rows), transpose(rows, nP, 0, nP), rows, meta)
 
 
 def stats(g: BiGraph) -> GraphStats:
-    degs = [len(a) for a in g.adjP] + [len(a) for a in g.adjL]
-    lo = min(degs) if degs else 0
-    hi = max(degs) if degs else 0
+    lo = min(chain(g.adjP.degrees(), g.adjL.degrees()), default=0)
+    hi = max(chain(g.adjP.degrees(), g.adjL.degrees()), default=0)
     return GraphStats(
         nP=g.nP,
         nL=g.nL,
@@ -184,13 +186,14 @@ def _render(g: BiGraph, fmt: str) -> Iterator[str]:
     elif not e:
         yield "\n"  # a bare export is never empty: an edgeless one is one blank line
     # adjP order is the file's order: a row's chunk is str(p), made once
-    # per row, before each of its L vertices' suffixes, made once each.
+    # per row, before each of its L vertices' suffixes, made once each and
+    # looked up by global id.
     nP = g.nP
-    suffixes = [f" {l}\n" for l in range(nP, nP + g.nL)]
+    suffix = ([""] * nP + [f" {l}\n" for l in range(nP, nP + g.nL)]).__getitem__
     for p, row in enumerate(g.adjP):
         if row:
             ps = str(p)
-            yield ps + ps.join([suffixes[l - nP] for l in row])
+            yield ps + ps.join(map(suffix, row))
 
 
 def to_text(g: BiGraph, fmt: str = "v1") -> str:
@@ -288,10 +291,10 @@ def parse(text: str) -> BiGraph:
 
     Each body line must be spelled as to_text writes it: two plain
     decimal ids, one space apart. The edges must come in strictly
-    ascending (P id, L id) order, so appending each edge to its L row as
-    it is read leaves every L row sorted and free of duplicates;
-    from_rows makes the P rows. The body is read one P row at a time out
-    of the text itself, and a row's edges share one int for its P id.
+    ascending (P id, L id) order, which is the P rows' own order: each
+    row is stored as it is read, sorted and free of duplicates, and the
+    L side is their transpose. The body is read one P row at a time out
+    of the text itself.
     """
     kv, pos = read_headed_text(
         text, FORMAT_V1, ("p", "m", "k", "nP", "nL", "e"), "e"
@@ -302,7 +305,7 @@ def parse(text: str) -> BiGraph:
     if not nP == nL == field.q**k:
         raise ValueError(f"nP={nP} nL={nL} do not match (p^m)^k for p={p} m={m} k={k}")
     end = nP + nL
-    adj_l: list[list[int]] = [[] for _ in range(nL)]
+    flat, ends = array("i"), array("i", [0])
     # One P row as to_text writes it: lines "<P id> <L id>", plain decimals
     # one space apart, with the same P id (L ids are >= nP >= 1). A row
     # passes the checks below exactly when each of its lines passes those
@@ -321,9 +324,12 @@ def parse(text: str) -> BiGraph:
             and all(map(operator.lt, lids, lids[1:]))
         ):
             break
-        for lid in lids:
-            adj_l[lid - nP].append(pid)
+        ends.extend(repeat(len(flat), pid - last_p - 1))  # P vertices with no edge
+        flat.extend(lids)
+        ends.append(len(flat))
         last_p, last_l, pos = pid, lids[-1], match.end()
     if pos < len(text):
         raise _fault(text, pos, nP, nL, (last_p, last_l))
-    return from_rows(nP, adj_l, (field, k))
+    ends.extend(repeat(len(flat), nP - 1 - last_p))
+    adj_p = Rows(flat, ends)
+    return BiGraph(nP, nL, adj_p, transpose(adj_p, nL, nP, 0), (field, k))

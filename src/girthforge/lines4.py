@@ -28,7 +28,6 @@ from girthforge.errors import SizeLimitError
 from girthforge.gf import Field, field_order, make_field
 from girthforge.graph import from_rows, read_headed_text
 from girthforge.moment import (
-    LINE_CAP,
     Point,
     base_q_digits,
     enumerate_lines,
@@ -38,6 +37,8 @@ from girthforge.verify import iter_cycles
 
 DIM = 4
 FAMILY_CAP = 1 << 16
+# A family file names a field whose q^4 moment lines fit under this cap.
+LINE_CAP = 1 << 22
 GREEDY_Q_CAP = 8
 FAMILY_FORMAT = "girthforge-lines4"
 

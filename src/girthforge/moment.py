@@ -5,11 +5,34 @@ direction vector (1, z, z^2, ..., z^{k-1}). Because that vector always
 starts with 1, the shift along a line that zeroes the first coordinate
 of a base point is unique; the shifted base is the canonical
 representative, which makes line equality plain tuple equality.
+
+``line_blocks`` and ``point_blocks`` list every incidence by id, each
+row already sorted. A point's id is its coordinates read base q with
+x_(k-1) as the top digit; a line's is z * q^(k-1) plus its base digits
+b_1, ..., b_(k-1) read the same way. So:
+
+- for z = 0 the line is {(y, b_1, ..., b_(k-1))}: listing y lists its
+  points in id order, and the direction's rows are 0, 1, ..., q^k - 1;
+- for z != 0, x_(k-1) takes each value c once on the line, so listing
+  c = 0..q-1 lists its points in id order; with w = z^-1 and
+  t = b_(k-1) the c-th point has x_i = b_i + (c - t) * w^(k-1-i);
+- the lines through a point x, listed by z, come in id order, since z
+  is the top digit of a line id; the direction-z line through x has
+  base b_i = x_i - x_0 * z^i.
+
+Each coordinate adds its own term to an id. The kernel packs the q ids
+of a row into the 32-bit fields of one Python int, so a row is a sum of
+one packed term per coordinate, read from a table of q packed terms per
+coordinate, and ``int.to_bytes`` lays it out as the bytes of an
+``array('i')``. The point side packs the q rows of x_0 = 0..q-1 into
+one int, which makes its terms independent of x_0.
 """
 
 from __future__ import annotations
 
-from typing import NamedTuple
+import sys
+from array import array
+from typing import Iterable, Iterator, NamedTuple
 
 from girthforge.errors import SizeLimitError
 from girthforge.gf import Field
@@ -18,7 +41,9 @@ Point = tuple[int, ...]
 
 K_MIN = 2
 K_MAX = 8
-LINE_CAP = 1 << 22
+# The q^(k+1) edges of a graph set its memory: 8 bytes an edge, its two
+# sides as int32 arrays, or 256 MiB at the cap.
+EDGE_CAP = 1 << 25
 
 
 class MomentLine(NamedTuple):
@@ -73,10 +98,11 @@ def points_on(field: Field, line: MomentLine) -> list[Point]:
 
 
 def check_lines(field: Field, k: int) -> None:
-    """Raise unless k is in range and the q^k lines fit under LINE_CAP."""
+    """Raise unless k is in range and the graph's q^(k+1) edges fit under EDGE_CAP."""
     check_k(k)
-    if field.q**k > LINE_CAP:
-        raise SizeLimitError(f"q^k = {field.q**k} exceeds line cap {LINE_CAP}")
+    e = field.q ** (k + 1)
+    if e > EDGE_CAP:
+        raise SizeLimitError(f"q^(k+1) = {e} edges exceeds edge cap {EDGE_CAP}")
 
 
 def enumerate_lines(field: Field, k: int) -> list[MomentLine]:
@@ -88,3 +114,72 @@ def enumerate_lines(field: Field, k: int) -> list[MomentLine]:
         for z in range(q)
         for b in range(q ** (k - 1))
     ]
+
+
+def _pack(values: Iterable[int]) -> int:
+    """The int whose 32-bit fields, lowest first, hold values: adding two
+    packed ints adds them field by field while every sum stays below 2^31."""
+    return int.from_bytes(array("i", values), sys.byteorder)
+
+
+def _sums(start: int, tables: list[list[int]]) -> list[int]:
+    """start plus one entry of each table, for every choice of entries,
+    the first table's choice varying fastest, like the lowest digit."""
+    sums = [start]
+    for table in reversed(tables):
+        sums = [s + v for s in sums for v in table]
+    return sums
+
+
+def line_blocks(field: Field, k: int) -> Iterator[bytes]:
+    """Each line's q point ids, ascending, in line-id order, as the bytes
+    of an array('i'): one block per direction z."""
+    q = field.q
+    yield array("i", range(q**k)).tobytes()
+    top = _pack(c * q ** (k - 1) for c in range(q))
+    width = 4 * q
+    for z in range(1, q):
+        w = field.inv(z)
+        u = [w]
+        while len(u) < k - 1:
+            u.append(field.mul(u[-1], w))
+        u.reverse()  # u[i] = w^(k-1-i), the step of x_i as c steps by 1
+        terms = []
+        for i in range(k - 1):
+            cu = [field.mul(c, u[i]) for c in range(q)]
+            terms.append([_pack(field.add(e, x) * q**i for x in cu) for e in range(q)])
+        rows = []
+        for t in range(q):
+            # x_i = b_i + (c - t) u_i = (b_i - t u_i) + c u_i, and b_0 = 0.
+            shifts = [field.mul(t, ui) for ui in u]
+            tables = [
+                [terms[i][field.sub(b, shifts[i])] for b in range(q)] for i in range(1, k - 1)
+            ]
+            rows += _sums(top + terms[0][field.sub(0, shifts[0])], tables)
+        yield b"".join([row.to_bytes(width, sys.byteorder) for row in rows])
+
+
+def point_blocks(field: Field, k: int) -> Iterator[bytes]:
+    """Each point's q line ids plus q^k, ascending, in point-id order, as
+    the bytes of an array('i'): one block per top coordinate x_(k-1).
+
+    One packed int holds the q rows of x_0 = 0..q-1, y then z in its
+    fields; the field for (y, z) of coordinate i's term for x_i = c is
+    (c - y z^i) q^(i-1), the base digit b_i of that line's id.
+    """
+    q, n = field.q, field.q**k
+    yz = [(y, z) for y in range(q) for z in range(q)]
+    base = _pack(n + z * q ** (k - 1) for _, z in yz)
+    zpow, prods = list(range(q)), []  # zpow[z] = z^i for i = 1, 2, ...
+    for _ in range(1, k):
+        prods.append([field.mul(y, zpow[z]) for y, z in yz])
+        zpow = [field.mul(a, z) for z, a in enumerate(zpow)]
+
+    def term(i: int, c: int) -> int:
+        return _pack(field.sub(c, v) * q ** (i - 1) for v in prods[i - 1])
+
+    tables = [[term(i, c) for c in range(q)] for i in range(1, k - 1)]
+    width = 4 * q * q
+    for t in range(q):
+        rows = _sums(base + term(k - 1, t), tables)
+        yield b"".join([row.to_bytes(width, sys.byteorder) for row in rows])

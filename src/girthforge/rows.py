@@ -1,0 +1,102 @@
+"""Flat adjacency rows: one side of a bipartite graph in one array.
+
+A side's rows lie end to end in one ``array('i')``; row i is the slice
+between its start and the next row's. When every row has the same
+length d the starts are ``range(0, E + 1, d)``, which costs nothing to
+hold; otherwise they are an array of offsets. ``Rows`` picks between
+them, so equal rows compare equal and one row type serves both.
+"""
+
+from __future__ import annotations
+
+import operator
+from array import array
+from collections import Counter
+from itertools import accumulate, chain, count, islice, pairwise, repeat
+from typing import Iterable, Iterator
+
+
+class Rows:
+    """One side's adjacency: row i is flat[starts[i]:starts[i + 1]].
+
+    starts is a range when every row has the same length and an array of
+    offsets otherwise; the constructor picks, so equal rows compare
+    equal. Indexing a row returns a fresh array slice, which supports
+    ``in``, ``len`` and iteration.
+    """
+
+    __slots__ = ("flat", "starts")
+
+    def __init__(self, flat: array, starts: range | array) -> None:
+        if not isinstance(starts, range):
+            n, e = len(starts) - 1, len(flat)
+            d = e // n if n else 1
+            if d and d * n == e and all(map(operator.eq, starts, range(0, e + 1, d))):
+                starts = range(0, e + 1, d)
+        self.flat = flat
+        self.starts = starts
+
+    @classmethod
+    def of(cls, rows: Iterable[Iterable[int]]) -> Rows:
+        """The given rows, laid end to end."""
+        flat, ends = array("i"), array("i", [0])
+        for row in rows:
+            flat.extend(row)
+            ends.append(len(flat))
+        return cls(flat, ends)
+
+    def __len__(self) -> int:
+        return len(self.starts) - 1
+
+    def __getitem__(self, i: int) -> array:
+        s = self.starts
+        if i < 0:
+            i += len(s) - 1
+        return self.flat[s[i] : s[i + 1]]
+
+    def __iter__(self) -> Iterator[array]:
+        flat = self.flat
+        return (flat[a:b] for a, b in pairwise(self.starts))
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Rows):
+            return NotImplemented
+        return self.starts == other.starts and self.flat == other.flat
+
+    def __repr__(self) -> str:
+        return f"Rows({[row.tolist() for row in self]})"
+
+    def degrees(self) -> Iterator[int]:
+        """Each row's length, in order, without slicing the rows."""
+        s = self.starts
+        return map(operator.sub, islice(s, 1, None), s)
+
+
+def fill(blocks: Iterable[bytes], entries: int) -> array:
+    """An array('i') of this many entries, allocated once, filled with the
+    blocks' bytes in order."""
+    flat = array("i", [0]) * entries
+    with memoryview(flat) as mv, mv.cast("B") as view:
+        pos = 0
+        for block in blocks:
+            view[pos : pos + len(block)] = block
+            pos += len(block)
+    return flat
+
+
+def transpose(rows: Rows, n: int, first: int, shift: int) -> Rows:
+    """The mirror side of rows, whose entries lie in [first, first + n):
+    its row j lists shift + i, ascending, for each row i that holds
+    first + j. Reading rows in order fills every mirror row in order."""
+    flat = rows.flat
+    counts = Counter(flat)
+    ends = array("i", accumulate((counts[v] for v in range(first, first + n)), initial=0))
+    out = array("i", [0]) * len(flat)
+    # free[v] is the next slot of entry v's mirror row.
+    free = [0] * first + ends[:-1].tolist()
+    owners = chain.from_iterable(map(repeat, count(shift), rows.degrees()))
+    for i, v in zip(owners, flat):
+        j = free[v]
+        out[j] = i
+        free[v] = j + 1
+    return Rows(out, ends)

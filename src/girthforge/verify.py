@@ -136,7 +136,7 @@ def _check_cycle_length(g: BiGraph, length: int, cap: int) -> None:
 
 def _cycles_from(g: BiGraph, length: int, roots: range) -> Iterator[CycleWitness]:
     """Canonical cycles of an even, checked length whose minimum vertex is in roots."""
-    adj = g.adjP + g.adjL
+    nbrs = g.neighbors
     path = [0] * length
     on_path = [False] * (g.nP + g.nL)
 
@@ -146,7 +146,7 @@ def _cycles_from(g: BiGraph, length: int, roots: range) -> Iterator[CycleWitness
             if v in closing and path[1] < path[-1]:
                 yield validate_cycle(g, tuple(path))
             return
-        for w in adj[v]:
+        for w in nbrs(v):
             if w > root and not on_path[w]:
                 on_path[w] = True
                 path[depth] = w
@@ -171,30 +171,35 @@ def _flag_cycle_count(g: BiGraph, length: int, l0: int) -> int:
     steps are not walked: from the L vertex before them, each unused
     point p counts the unused lines that join p to 0.
     """
-    adj = g.adjP + g.adjL
+    nP = g.nP
+    # The walk slices rows straight out of the flat arrays: it is the hot
+    # loop of every C10 count, and a method call per row cost 20 %.
+    p_flat, p_starts = g.adjP.flat, g.adjP.starts
+    l_flat, l_starts = g.adjL.flat, g.adjL.starts
     on_path = [False] * (g.nP + g.nL)
     on_path[0] = on_path[l0] = True
     back: dict[int, list[int]] = {}
     for l in g.adjP[0]:
         if l != l0:
-            for p in adj[l]:
+            for p in g.adjL[l - nP]:
                 back.setdefault(p, []).append(l)
     last = length - 3
 
     def extend(l: int, depth: int) -> int:
         # l is the L vertex at path index depth.
         n = 0
+        i = l - nP
         if depth == last:
-            for p in adj[l]:
+            for p in l_flat[l_starts[i] : l_starts[i + 1]]:
                 if not on_path[p]:
                     for l2 in back.get(p, ()):
                         n += not on_path[l2]
             return n
-        for p in adj[l]:
+        for p in l_flat[l_starts[i] : l_starts[i + 1]]:
             if on_path[p]:
                 continue
             on_path[p] = True
-            for l2 in adj[p]:
+            for l2 in p_flat[p_starts[p] : p_starts[p + 1]]:
                 if not on_path[l2]:
                     on_path[l2] = True
                     n += extend(l2, depth + 2)

@@ -32,6 +32,7 @@ from girthforge.moment import (
     moment_vector,
     points_on,
 )
+from girthforge.rows import Rows
 from girthforge.verify import CycleWitness, _cycles_from, iter_cycles
 
 # Environment for a `python -m girthforge` child process: it imports the
@@ -53,8 +54,8 @@ def from_edges(
     duplicates collapse.
 
     Each vertex's neighbours are collected in a set and sorted, on both
-    sides, so this shares no code with graph.from_rows and serves as its
-    reference.
+    sides, so this shares no transpose with graph.from_rows and serves
+    as its reference; only the layout of sorted rows, Rows.of, is shared.
     """
     adj_p: list[set[int]] = [set() for _ in range(nP)]
     adj_l: list[set[int]] = [set() for _ in range(nL)]
@@ -66,8 +67,8 @@ def from_edges(
     return BiGraph(
         nP=nP,
         nL=nL,
-        adjP=tuple(tuple(sorted(s)) for s in adj_p),
-        adjL=tuple(tuple(sorted(s)) for s in adj_l),
+        adjP=Rows.of(map(sorted, adj_p)),
+        adjL=Rows.of(map(sorted, adj_l)),
         meta=meta,
     )
 
@@ -366,13 +367,7 @@ def build_from_points(field: Field, k: int) -> BiGraph:
         adj_l.append(tuple(pids))
         for pid in pids:
             adj_p[pid].append(n + lid)
-    return BiGraph(
-        nP=n,
-        nL=n,
-        adjP=tuple(tuple(row) for row in adj_p),
-        adjL=tuple(adj_l),
-        meta=(field, k),
-    )
+    return BiGraph(nP=n, nL=n, adjP=Rows.of(adj_p), adjL=Rows.of(adj_l), meta=(field, k))
 
 
 def edges(g: BiGraph) -> Iterator[tuple[int, int]]:

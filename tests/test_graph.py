@@ -22,6 +22,7 @@ from girthforge.graph import (
     to_text,
 )
 from girthforge.moment import MomentLine, enumerate_lines, points_on
+from girthforge.rows import Rows
 from helpers import (
     build_from_points,
     edges,
@@ -312,12 +313,76 @@ def test_build_matches_build_from_points(field, k):
     assert build(field, k) == build_from_points(field, k)
 
 
+@pytest.mark.parametrize("field,k", ROW_CASES, ids=[f"q{f.q}-k{k}" for f, k in ROW_CASES])
+def test_build_p_side_is_the_set_based_transpose(field, k):
+    # build writes the P rows from the algebra, not from the L rows.
+    g = build(field, k)
+    mirror = from_edges(g.nP, g.nL, [(p, l) for l, row in enumerate(g.adjL) for p in row])
+    assert g.adjP == mirror.adjP and g.adjL == mirror.adjL
+    assert g.adjP.starts == g.adjL.starts == range(0, g.edge_count() + 1, field.q)
+
+
 @pytest.mark.parametrize(
     "field,k", [(F2, 5), (F3, 3), (F4, 3), (F5, 2), (make_field(3, 2), 3)], ids=repr
 )
 def test_parsed_graph_is_certified(field, k):
     g = parse(to_text(build(field, k)))
     assert g.meta == (field, k) and g.is_moment_graph
+
+
+@pytest.mark.parametrize("field,k", [(F2, 2), (F3, 3), (F4, 3), (make_field(2, 4), 3)], ids=repr)
+def test_parse_has_the_rows_and_starts_of_build(field, k):
+    g, h = build(field, k), parse(to_text(build(field, k)))
+    for built, parsed in ((g.adjP, h.adjP), (g.adjL, h.adjL)):
+        assert parsed.flat == built.flat
+        assert parsed.starts == built.starts == range(0, g.edge_count() + 1, field.q)
+
+
+def test_rows_hold_a_regular_side_as_a_range():
+    rows = Rows.of([[4, 6], [4, 7], [5, 7]])
+    assert rows.starts == range(0, 7, 2) and list(rows.flat) == [4, 6, 4, 7, 5, 7]
+    assert len(rows) == 3 and 7 in rows[1] and list(rows[-1]) == [5, 7]
+    assert [list(r) for r in rows] == [[4, 6], [4, 7], [5, 7]]
+    ragged = Rows.of([[1], [], [0, 2]])
+    assert list(ragged.starts) == [0, 1, 1, 3] and not isinstance(ragged.starts, range)
+    assert list(ragged.degrees()) == [1, 0, 2] and list(ragged[1]) == []
+    # Equal rows are equal whichever way they were made.
+    assert Rows.of([[4, 6], [4, 7], [5, 7]]) == rows != ragged
+    assert Rows.of([]) == Rows.of(()) and len(Rows.of([])) == 0
+    with pytest.raises(IndexError):
+        rows[3]
+
+
+def _mutants(field, k):
+    """Three graphs with the moment graph's metadata and edge count that
+    are not the moment graph: the last L entry changed (the P side left
+    as built), two L rows swapped, and one point moved from an L row to
+    another, which leaves L irregular."""
+    g = build(field, k)
+    n = g.nP
+    flat = g.adjL.flat[:]
+    flat[-1] = (flat[-1] + 1) % n
+    changed = BiGraph(n, n, g.adjP, Rows(flat, g.adjL.starts), g.meta)
+    rows = [list(r) for r in g.adjL]
+    swapped = [list(r) for r in rows]
+    swapped[0], swapped[-1] = swapped[-1], swapped[0]
+    moved = [list(r) for r in rows]
+    p = moved[0].pop()
+    moved[1] = sorted({*moved[1], p})
+    return [changed, *(from_rows(n, r, g.meta) for r in (swapped, moved))]
+
+
+@pytest.mark.parametrize("field,k", [(F2, 2), (F3, 3), (F4, 3), (F5, 4)], ids=repr)
+def test_certificate_refuses_each_mutant(field, k):
+    assert build(field, k).is_moment_graph
+    changed, swapped, moved = _mutants(field, k)
+    e = field.q ** (k + 1)
+    assert changed.edge_count() == swapped.edge_count() == moved.edge_count() == e
+    # The first two pass the regularity check and fail on the L array.
+    assert changed.adjL.starts == swapped.adjP.starts == range(0, e + 1, field.q)
+    assert not isinstance(moved.adjL.starts, range)
+    for g in (changed, swapped, moved):
+        assert g.is_moment_graph is False
 
 
 @pytest.mark.parametrize("seed", range(100))
@@ -342,16 +407,17 @@ def test_from_edges_validation():
     assert g.edge_count() == 2
 
 
-def test_parse_refuses_header_past_line_cap():
-    # The smallest q^k over LINE_CAP = 2^22: 7^8 = 5 764 801 per side.
-    # Refused from the header alone, before any row is allocated.
-    with pytest.raises(SizeLimitError, match="exceeds line cap"):
+def test_parse_refuses_header_past_edge_cap():
+    # 7^8 = 5 764 801 vertices a side and 7^9 = 40 353 607 edges, past
+    # EDGE_CAP = 2^25. Refused from the header alone, before any row is
+    # allocated.
+    with pytest.raises(SizeLimitError, match="exceeds edge cap"):
         parse("girthforge-v1 p=7 m=1 k=8 nP=5764801 nL=5764801 e=0\n")
 
 
-def test_parse_checks_the_line_cap_before_the_rows(monkeypatch):
+def test_parse_checks_the_edge_cap_before_the_rows(monkeypatch):
     # With the cap lowered, this header would parse if the check were skipped.
-    monkeypatch.setattr("girthforge.moment.LINE_CAP", 1 << 10)
+    monkeypatch.setattr("girthforge.moment.EDGE_CAP", 1 << 10)
     with pytest.raises(SizeLimitError):
         parse("girthforge-v1 p=3 m=1 k=7 nP=2187 nL=2187 e=0\n")
 
@@ -589,24 +655,55 @@ def test_parse_fuzz_round_trips_or_raises(text):
 GF16_K3_TEXT = to_text(build(make_field(2, 4), 3))
 
 
-def _traced_peak(fn) -> int:
-    """Peak bytes that tracemalloc counts while fn runs: a count of
-    allocations, the same on every run, unlike RSS or time."""
+def _traced(fn):
+    """fn's result, and the peak and the kept bytes that tracemalloc
+    counts while fn runs: counts of allocations, the same on every run,
+    unlike RSS or time."""
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        fn()
-        return tracemalloc.get_traced_memory()[1] - base
+        out = fn()
+        kept, peak = tracemalloc.get_traced_memory()
+        return out, peak - base, kept - base
     finally:
         tracemalloc.stop()
+
+
+def _traced_peak(fn) -> int:
+    return _traced(fn)[1]
 
 
 def test_parse_allocates_a_small_multiple_of_its_text():
     # 65 536 edges in 637 650 characters. Splitting the body into line
     # strings, with an int per edge, took 14.4x the text; reading it one
-    # P row at a time takes 5.1x, the parsed graph included.
+    # P row at a time into tuple rows took 5.1x, into flat rows 1.7x, the
+    # parsed graph included.
     peak = _traced_peak(lambda: parse(GF16_K3_TEXT))
     assert peak < 8 * len(GF16_K3_TEXT)
+
+
+def test_built_graph_keeps_two_int32_arrays():
+    # GF(16), k=4: 2^20 edges, 65 536 vertices a side. Each side is one
+    # array of 4-byte ids and a range; tuple rows kept 36 bytes an entry.
+    field = make_field(2, 4)
+    field.mul(2, 2)  # the field's tables are built outside the count
+    g, peak, kept = _traced(lambda: build(field, 4))
+    e, n = g.edge_count(), g.nP + g.nL
+    assert e == 1 << 20
+    assert kept <= 2 * 4 * e + n
+    # One side's blocks are written into an array allocated once: 1.14x.
+    assert peak < 2 * (2 * 4 * e + n)
+
+
+def test_parse_peaks_a_small_bound_above_the_text():
+    # GF(25), k=3: 390 625 edges in 4 409 803 characters. Parsing into
+    # tuple rows peaked at 17.8 MiB above the text; into flat rows 5.2 MiB,
+    # 14 bytes an edge, the 8 that the graph keeps included.
+    text = to_text(build(make_field(5, 2), 3))
+    g, peak, kept = _traced(lambda: parse(text))
+    e = g.edge_count()
+    assert kept < 9 * e
+    assert peak < 16 * e
 
 
 class _CountingSink:
@@ -621,7 +718,7 @@ class _CountingSink:
 
 def test_export_never_holds_the_whole_text():
     # Joining the whole text before writing it took 3.8x the text;
-    # writing one P row at a time takes 0.41x.
+    # writing one P row at a time takes 0.56x.
     g = parse(GF16_K3_TEXT)
     sink = _CountingSink()
     peak = _traced_peak(lambda: export(g, sink))

@@ -45,7 +45,7 @@ def _line_images(field, k, g, phi):
     """The line each line is mapped onto by the point map phi."""
     pids = [point_id(field, phi(id_point(field, k, v))) for v in range(g.nP)]
     assert sorted(pids) == list(range(g.nP)), "not a bijection of the points"
-    line_of = {row: lid for lid, row in enumerate(g.adjL)}
+    line_of = {tuple(row): lid for lid, row in enumerate(g.adjL)}
     assert len(line_of) == g.nL
     images = []
     for row in g.adjL:
