@@ -57,15 +57,6 @@ class LineC4Witness(NamedTuple):
     points: tuple[Point, Point, Point, Point]
 
 
-class _SameLine:
-    def __repr__(self) -> str:
-        return "SAME_LINE"
-
-
-#: Sentinel returned by intersect() for coincident lines.
-SAME_LINE = _SameLine()
-
-
 def canonical_genline(field: Field, x: Point, d: Point) -> GenLine:
     """Canonicalize the line through x with direction d."""
     if len(x) != DIM or len(d) != DIM:
@@ -89,44 +80,6 @@ def points_of(field: Field, line: GenLine) -> list[Point]:
         [field.add(b, field.mul(y, d)) for y in ys] for b, d in zip(line.base, line.dir)
     ]
     return list(zip(*coords))
-
-
-def intersect(field: Field, l1: GenLine, l2: GenLine):
-    """None (skew or parallel), a Point, or SAME_LINE.
-
-    Solves base1 + y1*dir1 = base2 + y2*dir2 by elimination on the
-    4x2 system over GF(q).
-    """
-    if l1 == l2:
-        return SAME_LINE
-    aug = [
-        [l1.dir[i], field.neg(l2.dir[i]), field.sub(l2.base[i], l1.base[i])]
-        for i in range(DIM)
-    ]
-    rank = 0
-    for col in range(2):
-        piv = next((r for r in range(rank, DIM) if aug[r][col]), None)
-        if piv is None:
-            continue
-        aug[rank], aug[piv] = aug[piv], aug[rank]
-        inv = field.inv(aug[rank][col])
-        aug[rank] = [field.mul(inv, v) for v in aug[rank]]
-        for r in range(DIM):
-            if r != rank and aug[r][col]:
-                f = aug[r][col]
-                aug[r] = [
-                    field.sub(a, field.mul(f, b)) for a, b in zip(aug[r], aug[rank])
-                ]
-        rank += 1
-    for r in range(rank, DIM):
-        if aug[r][2]:
-            return None
-    if rank < 2:
-        # Dependent directions with a consistent system is the same
-        # line, which canonical equality should already have caught.
-        return SAME_LINE
-    y1 = aug[0][2]
-    return tuple(field.add(b, field.mul(y1, d)) for b, d in zip(l1.base, l1.dir))
 
 
 def genline_count(field: Field) -> int:
@@ -173,9 +126,10 @@ def validate_line_c4(field: Field, w: LineC4Witness) -> LineC4Witness:
         raise ValueError("witness lines not pairwise distinct")
     if len(set(w.points)) != 4:
         raise ValueError("witness points not pairwise distinct")
+    # Distinct lines through the same point meet there alone.
     for i in range(4):
         pair = (w.lines[i], w.lines[(i + 1) % 4])
-        if intersect(field, *pair) != w.points[i]:
+        if any(canonical_genline(field, w.points[i], line.dir) != line for line in pair):
             raise ValueError(f"lines {pair} do not meet at {w.points[i]}")
     return w
 

@@ -17,10 +17,16 @@ translations, which act regularly on P, and the shears S_c, which send
 x_i to the sum over j <= i of C(i, j) * c^(i-j) * x_j, fix the origin
 and send direction z to z + c. Together they act transitively on the
 edges (flags). So the C4 scan and the length-4 path maximum start from
-P vertex 0 alone, and the cycle counts enumerate only the cycles
-through the one edge from P vertex 0 to L0, the z=0 line through the
-origin: with c_e such cycles, a graph with E edges has E * c_e / length
-cycles of the length. Any other graph is searched from every P vertex.
+P vertex 0 alone, and the cycle counts take only the cycles through the
+one edge from P vertex 0 to L0, the z=0 line through the origin: with
+c_e such cycles, a graph with E edges has E * c_e / length cycles of
+the length. c_e is a count of closed non-backtracking walks, with no
+on-path bookkeeping: in a graph with no cycle of length up to length/2
+each such walk runs once around one simple cycle, and the walks of the
+shorter lengths, counted the same way, show that there is none. A
+certified graph with a shorter cycle, and any other graph, is searched
+from every P vertex by the canonical DFS, which stays the oracle for
+the walks.
 """
 
 from __future__ import annotations
@@ -36,12 +42,13 @@ from girthforge.graph import BiGraph, build, stats
 CycleWitness = tuple[int, ...]
 
 MAX_CYCLE_LEN = 12
-# Vertex caps for lengths 10 and 12, for searches from every P vertex and
-# for counts through the flag of a certified moment graph. The flag cap
-# admits verify at q = 13, k = 5 (742 586 vertices, about 20 s) and
-# refuses q = 16, k = 5, whose C10 alone would take about a minute.
+# Lengths 10 and 12 from every P vertex are searched on at most this many
+# vertices. Through the flag of a certified moment graph a count of length
+# L costs about q^(L/2) walk steps; the walk cap admits C10 up to q = 23
+# and C12 up to q = 13, and the largest count it admits at each length
+# takes 3-8 s (C6 at q = 199, C8 at q = 53, C10 at q = 23, C12 at q = 13).
 BIG_CYCLE_VERTEX_CAP = 8192
-FLAG_CYCLE_VERTEX_CAP = 1 << 20
+FLAG_WALK_CAP = 1 << 23
 
 
 @dataclass(frozen=True)
@@ -126,12 +133,9 @@ def find_c4(g: BiGraph) -> CycleWitness | None:
     return None
 
 
-def _check_cycle_length(g: BiGraph, length: int, cap: int) -> None:
+def _check_cycle_length(length: int) -> None:
     if length < 4 or length > MAX_CYCLE_LEN:
         raise ValueError(f"cycle length must be even in [4, {MAX_CYCLE_LEN}]")
-    n = g.nP + g.nL
-    if length >= 10 and n > cap:
-        raise SizeLimitError(f"{n} vertices exceeds cap {cap} for length >= 10")
 
 
 def _cycles_from(g: BiGraph, length: int, roots: range) -> Iterator[CycleWitness]:
@@ -163,94 +167,97 @@ def _cycles_from(g: BiGraph, length: int, roots: range) -> Iterator[CycleWitness
         on_path[root] = False
 
 
-def _flag_cycle_count(g: BiGraph, length: int, l0: int) -> int:
-    """Number of simple cycles of an even, checked length through the edge (0, l0).
+def _flag_walks(g: BiGraph, length: int, l0: int) -> int:
+    """Closed non-backtracking walks of an even length through the edge (0, l0).
 
-    Each such cycle is counted once, as the path 0, l0, p1, ..., l_last
-    that closes back to 0 through a line other than l0. The last two
-    steps are not walked: from the L vertex before them, each unused
-    point p counts the unused lines that join p to 0.
+    Each walk leaves P vertex 0 by l0 and comes back by another line. The
+    halves meet in the middle. The walks of length/2 - 1 steps forward
+    from the edge (0, l0) are counted by their last two vertices, and so
+    are the walks one step shorter back from the edges (0, l), l != l0.
+    Each back walk then takes its last step onto the end vertex of the
+    forward walks, and joins every one that does not enter it from the
+    same neighbour.
     """
-    nP = g.nP
-    # The walk slices rows straight out of the flat arrays: it is the hot
-    # loop of every C10 count, and a method call per row cost 20 %.
-    p_flat, p_starts = g.adjP.flat, g.adjP.starts
-    l_flat, l_starts = g.adjL.flat, g.adjL.starts
-    on_path = [False] * (g.nP + g.nL)
-    on_path[0] = on_path[l0] = True
-    back: dict[int, list[int]] = {}
-    for l in g.adjP[0]:
-        if l != l0:
-            for p in g.adjL[l - nP]:
-                back.setdefault(p, []).append(l)
-    last = length - 3
+    nbrs = g.neighbors
 
-    def extend(l: int, depth: int) -> int:
-        # l is the L vertex at path index depth.
-        n = 0
-        i = l - nP
-        if depth == last:
-            for p in l_flat[l_starts[i] : l_starts[i + 1]]:
-                if not on_path[p]:
-                    for l2 in back.get(p, ()):
-                        n += not on_path[l2]
-            return n
-        for p in l_flat[l_starts[i] : l_starts[i + 1]]:
-            if on_path[p]:
-                continue
-            on_path[p] = True
-            for l2 in p_flat[p_starts[p] : p_starts[p + 1]]:
-                if not on_path[l2]:
-                    on_path[l2] = True
-                    n += extend(l2, depth + 2)
-                    on_path[l2] = False
-            on_path[p] = False
-        return n
+    def walk(starts: list[tuple[int, int]], steps: int) -> Counter[tuple[int, int]]:
+        ends = Counter(starts)
+        for _ in range(steps):
+            nxt: Counter[tuple[int, int]] = Counter()
+            for (u, v), n in ends.items():
+                for w in nbrs(v):
+                    if w != u:
+                        nxt[v, w] += n
+            ends = nxt
+        return ends
 
-    return extend(l0, 1)
+    half = length // 2
+    fwd = walk([(0, l0)], half - 1)
+    back = walk([(0, l) for l in g.adjP[0] if l != l0], half - 2)
+    at: Counter[int] = Counter()
+    for (_, v), n in fwd.items():
+        at[v] += n
+    return sum(
+        n * (at[w] - fwd[v, w]) for (u, v), n in back.items() for w in nbrs(v) if w != u
+    )
 
 
 def iter_cycles(g: BiGraph, length: int) -> Iterator[CycleWitness]:
     """Canonically enumerate every simple cycle of exactly this length."""
     if length % 2:
         return
-    _check_cycle_length(g, length, BIG_CYCLE_VERTEX_CAP)
+    _check_cycle_length(length)
+    n = g.nP + g.nL
+    if length >= 10 and n > BIG_CYCLE_VERTEX_CAP:
+        raise SizeLimitError(
+            f"{n} vertices exceeds cap {BIG_CYCLE_VERTEX_CAP} for length >= 10"
+        )
     yield from _cycles_from(g, length, range(g.nP))
 
 
 def count_cycles(g: BiGraph, length: int) -> tuple[int, CycleWitness | None]:
     """Exact count of simple cycles of the given length plus a witness.
 
-    On the moment graph only the c_e cycles through the flag (P vertex 0,
-    L0) are counted: every edge lies on c_e of them and each cycle has
-    length edges, so the total is E * c_e / length, E the edge count; a
-    remainder raises RuntimeError. The witness is then the first cycle
-    of the canonical DFS from P vertex 0, which is the first cycle of
-    the full enumeration because vertex 0 has the smallest id; that DFS
-    runs only when the count is nonzero. Any other graph is enumerated
-    from every P vertex, under the smaller cap for lengths 10 and 12.
+    On the moment graph every edge lies on the same number c_e of cycles
+    and each cycle has length edges, so the total is E * c_e / length, E
+    the edge count; a remainder raises RuntimeError. c_e is the walk count
+    through the flag (P vertex 0, L0), used only when that count is 0 for
+    every even length from 4 to length/2: a shortest cycle passes through
+    the flag, so the graph then has no cycle that short, and each walk is
+    a simple cycle. A count whose q^(length/2) walk steps exceed
+    FLAG_WALK_CAP is refused before any walk runs. The witness is the
+    first cycle of the canonical DFS from P vertex 0, which is the first
+    of the full enumeration because vertex 0 has the smallest id; that DFS
+    runs only when the count is nonzero. Any other graph, and a certified
+    one with a shorter cycle, is enumerated from every P vertex, under the
+    vertex cap for lengths 10 and 12.
     """
     if length % 2:
         return 0, None
+    _check_cycle_length(length)
     l0 = _flag(g)
-    _check_cycle_length(g, length, BIG_CYCLE_VERTEX_CAP if l0 is None else FLAG_CYCLE_VERTEX_CAP)
-    cycles = _cycles_from(g, length, _roots(g))
-    if l0 is None:
-        count = 0
-        first: CycleWitness | None = None
-        for w in cycles:
-            count += 1
-            if first is None:
-                first = w
-        return count, first
-    c_e = _flag_cycle_count(g, length, l0)
-    edges = g.edge_count()
-    total, rem = divmod(edges * c_e, length)
-    if rem:
-        raise RuntimeError(
-            f"{edges} * {c_e} cycles through one edge is not a multiple of {length}"
-        )
-    return total, next(cycles) if total else None
+    if l0 is not None:
+        steps = len(g.adjP[0]) ** (length // 2)
+        if steps > FLAG_WALK_CAP:
+            raise SizeLimitError(
+                f"{steps} walk steps exceeds cap {FLAG_WALK_CAP} for length {length}"
+            )
+        if not any(_flag_walks(g, m, l0) for m in range(4, length // 2 + 1, 2)):
+            c_e = _flag_walks(g, length, l0)
+            edges = g.edge_count()
+            total, rem = divmod(edges * c_e, length)
+            if rem:
+                raise RuntimeError(
+                    f"{edges} * {c_e} cycles through one edge is not a multiple of {length}"
+                )
+            return total, next(_cycles_from(g, length, range(1))) if total else None
+    count = 0
+    first: CycleWitness | None = None
+    for w in iter_cycles(g, length):
+        count += 1
+        if first is None:
+            first = w
+    return count, first
 
 
 def l4_path_counts_from(g: BiGraph, p: int) -> Counter[int]:

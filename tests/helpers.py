@@ -14,13 +14,11 @@ from girthforge.gf import Field, _pdivmod, _ptrim, make_field
 from girthforge.graph import FORMAT_V1, BiGraph, point_id, read_headed_text
 from girthforge.lines4 import (
     DIM,
-    SAME_LINE,
     C4FreeFamily,
     GenLine,
     LineC4Witness,
     all_genlines,
     canonical_genline,
-    intersect,
 )
 from girthforge.moment import (
     MomentLine,
@@ -203,6 +201,53 @@ def blocked(family: C4FreeFamily, cand: GenLine) -> bool:
 
 
 # -- pairwise references for the point-to-lines index of lines4 --------------
+
+
+class _SameLine:
+    def __repr__(self) -> str:
+        return "SAME_LINE"
+
+
+#: Sentinel returned by intersect() for coincident lines.
+SAME_LINE = _SameLine()
+
+
+def intersect(field: Field, l1: GenLine, l2: GenLine):
+    """None (skew or parallel), a Point, or SAME_LINE.
+
+    Solves base1 + y1*dir1 = base2 + y2*dir2 by elimination on the
+    4x2 system over GF(q).
+    """
+    if l1 == l2:
+        return SAME_LINE
+    aug = [
+        [l1.dir[i], field.neg(l2.dir[i]), field.sub(l2.base[i], l1.base[i])]
+        for i in range(DIM)
+    ]
+    rank = 0
+    for col in range(2):
+        piv = next((r for r in range(rank, DIM) if aug[r][col]), None)
+        if piv is None:
+            continue
+        aug[rank], aug[piv] = aug[piv], aug[rank]
+        inv = field.inv(aug[rank][col])
+        aug[rank] = [field.mul(inv, v) for v in aug[rank]]
+        for r in range(DIM):
+            if r != rank and aug[r][col]:
+                f = aug[r][col]
+                aug[r] = [
+                    field.sub(a, field.mul(f, b)) for a, b in zip(aug[r], aug[rank])
+                ]
+        rank += 1
+    for r in range(rank, DIM):
+        if aug[r][2]:
+            return None
+    if rank < 2:
+        # Dependent directions with a consistent system is the same
+        # line, which canonical equality should already have caught.
+        return SAME_LINE
+    y1 = aug[0][2]
+    return tuple(field.add(b, field.mul(y1, d)) for b, d in zip(l1.base, l1.dir))
 
 
 def pairwise_intersections(family: C4FreeFamily, cand: GenLine) -> list[tuple[int, Point]]:

@@ -11,7 +11,6 @@ from girthforge.errors import SizeLimitError
 from girthforge.gf import make_field
 from girthforge.graph import build
 from girthforge.lines4 import (
-    SAME_LINE,
     C4FreeFamily,
     GenLine,
     LineC4Witness,
@@ -21,7 +20,6 @@ from girthforge.lines4 import (
     genline_text,
     greedy_c4free,
     has_line_c4,
-    intersect,
     moment_seed,
     parse_family,
     points_of,
@@ -30,9 +28,11 @@ from girthforge.lines4 import (
 )
 from girthforge.verify import count_cycles
 from helpers import (
+    SAME_LINE,
     blocked,
     brute_force_line_c4,
     contains,
+    intersect,
     pairwise_greedy,
     pairwise_hits,
     pairwise_intersections,
@@ -164,6 +164,16 @@ def test_intersect_agrees_with_point_sets_f2():
             assert r is None
         else:
             assert len(common) == 1 and r == common.pop()
+
+
+def test_meeting_point_certificate_agrees_with_intersect_f2():
+    # validate_line_c4 certifies that two distinct lines meet at a point by
+    # canonicalising the line through the point in each line's direction.
+    lines = all_genlines(F2)
+    for a, b in itertools.combinations(lines, 2):
+        for pt in points_of(F2, a):
+            on_both = all(canonical_genline(F2, pt, line.dir) == line for line in (a, b))
+            assert on_both == (intersect(F2, a, b) == pt)
 
 
 def test_has_line_c4_planar_quadrilateral():

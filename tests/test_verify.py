@@ -59,6 +59,8 @@ FLAG_CASES = [(f, 2, 6, None) for f in (F3, F4, F5, F7, F8)] + [
     (F5, 3, 8, 12_500),
     (F7, 3, 8, 280_917),
     (F3, 5, 12, 4_374),
+    (F5, 4, 10, 30_000),
+    (F3, 6, 12, 13_122),
 ]
 
 
@@ -352,13 +354,13 @@ def test_flag_count_matches_vertex_rooted_count(field, k, length, expected):
 
 def test_flag_rule_follows_the_certificate(monkeypatch):
     calls = []
-    flag_count = verify._flag_cycle_count
+    flag_walks = verify._flag_walks
 
     def spy(g, length, l0):
         calls.append(g)
-        return flag_count(g, length, l0)
+        return flag_walks(g, length, l0)
 
-    monkeypatch.setattr(verify, "_flag_cycle_count", spy)
+    monkeypatch.setattr(verify, "_flag_walks", spy)
     for g, certified in (
         (build(F3, 3), True),
         (_swapped_f3_k3(), False),
@@ -368,14 +370,27 @@ def test_flag_rule_follows_the_certificate(monkeypatch):
         for length in (4, 6, 8):
             calls.clear()
             assert count_cycles(g, length) == _full_count(g, length)
-            assert calls == ([g] if certified else []), (certified, length)
+            assert bool(calls) == certified, (certified, length)
+            assert all(c is g for c in calls)
 
 
 def test_flag_count_refuses_a_total_that_is_not_whole(monkeypatch):
     # 27 edges times one cycle per edge is not a multiple of 6.
-    monkeypatch.setattr(verify, "_flag_cycle_count", lambda g, length, l0: 1)
+    monkeypatch.setattr(verify, "_flag_walks", lambda g, length, l0: 1)
     with pytest.raises(RuntimeError, match="27 \\* 1 cycles through one edge"):
         count_cycles(build(F3, 2), 6)
+
+
+def test_shorter_cycle_gate_carries_weight():
+    # Girth 6: some closed non-backtracking 12-walks run twice around a
+    # 6-cycle or through two of them, so the walks through the flag
+    # overcount c_e, and the nonzero 6-walk count sends C12 to the DFS.
+    g = build(F3, 2)
+    count, first = _full_count(g, 12)
+    c_e = count * 12 // g.edge_count()
+    assert verify._flag_walks(g, 6, g.nP) > 0
+    assert verify._flag_walks(g, 12, g.nP) != c_e
+    assert count_cycles(g, 12) == (count, first)
 
 
 def test_flag_count_reaches_past_the_all_roots_cap():
@@ -389,16 +404,19 @@ def test_flag_count_reaches_past_the_all_roots_cap():
         count_cycles(dataclasses.replace(g, meta=None), 10)
 
 
-def test_flag_cycle_vertex_cap(monkeypatch):
+def test_flag_walk_cap(monkeypatch):
     g = build(F4, 5)
-    n = g.nP + g.nL
-    monkeypatch.setattr(verify, "FLAG_CYCLE_VERTEX_CAP", n)
+    steps = 4**5
+    monkeypatch.setattr(verify, "FLAG_WALK_CAP", steps)
     assert count_cycles(g, 10) == (0, None)
-    monkeypatch.setattr(verify, "FLAG_CYCLE_VERTEX_CAP", n - 1)
-    with pytest.raises(SizeLimitError, match=f"^{n} vertices exceeds cap {n - 1} for length"):
-        count_cycles(g, 10)
-    # Lengths up to 8 are not capped.
+    monkeypatch.setattr(verify, "FLAG_WALK_CAP", steps - 1)
+    # Shorter lengths take fewer steps.
     assert count_cycles(g, 8)[0] == vertex_rooted_count(g, 8) == 13_824
+    # The cap is checked before any walk runs.
+    monkeypatch.setattr(verify, "_flag_walks", None)
+    message = f"^{steps} walk steps exceeds cap {steps - 1} for length 10$"
+    with pytest.raises(SizeLimitError, match=message):
+        count_cycles(g, 10)
 
 
 def test_translation_check_counts_repeated_rows():
