@@ -12,8 +12,11 @@ end to end, plus the row starts, a range on every built or parsed
 moment graph. ``build`` fills both sides from ``moment.line_blocks``
 and ``moment.point_blocks``, which write the rows already sorted, one
 block at a time into arrays allocated once, so no side is held twice.
-``parse`` stores the P rows as it reads them, ``from_rows`` the L rows
-it is given, and each fills the other side with one counting transpose.
+``from_rows`` stores the L rows it is given and fills the P side with
+one counting transpose. Given a text whose header names the moment
+graph's edge count, ``parse`` builds that graph and keeps it if the
+text is its export; any other text it reads row by row and transposes
+the same way.
 The line blocks also certify a graph: one that carries (field, k) is
 the moment graph exactly when both sides are q-regular and its L array
 equals them, block by block. The searches in ``verify`` rest every
@@ -30,7 +33,8 @@ back only what ``to_text`` writes: each edge line is two plain ASCII
 decimals (no sign, underscore or leading zero) one space apart, and
 every line ends in LF, the last one included. Neither direction holds
 the body twice: ``export`` writes one P row at a time to its sink, and
-``parse`` reads one P row at a time out of the text it is given.
+``parse`` compares or reads one P row at a time out of the text it is
+given.
 """
 
 from __future__ import annotations
@@ -286,15 +290,32 @@ def _fault(text: str, pos: int, nP: int, nL: int, prev: tuple[int, int]) -> Valu
         prev, pos = edge, stop + 1
 
 
+def _built_if_rendered(field: Field, k: int, text: str) -> BiGraph | None:
+    """build(field, k) if text is its v1 export, else None. The text is
+    compared with the export one chunk at a time, so neither is copied,
+    and a graph that does not match dies here, before any scan."""
+    g, pos = build(field, k), 0
+    for chunk in _render(g, "v1"):
+        if not text.startswith(chunk, pos):
+            return None
+        pos += len(chunk)
+    return g if pos == len(text) else None
+
+
 def parse(text: str) -> BiGraph:
     """Re-import a v1 export; the result round-trips through to_text.
 
     Each body line must be spelled as to_text writes it: two plain
     decimal ids, one space apart. The edges must come in strictly
-    ascending (P id, L id) order, which is the P rows' own order: each
-    row is stored as it is read, sorted and free of duplicates, and the
-    L side is their transpose. The body is read one P row at a time out
-    of the text itself.
+    ascending (P id, L id) order, which is the P rows' own order.
+
+    A header with the moment graph's edge count, q^(k+1), names one
+    text: the export of build(field, k). That graph is built and its
+    export compared with the text one P row at a time; if they are
+    equal it is the result, with no edge read. Every other text is read
+    one P row at a time out of the text itself: each row is stored as
+    it is read, sorted and free of duplicates, and the L side is their
+    transpose. The result is not certified here either way.
     """
     kv, pos = read_headed_text(
         text, FORMAT_V1, ("p", "m", "k", "nP", "nL", "e"), "e"
@@ -304,6 +325,10 @@ def parse(text: str) -> BiGraph:
     check_lines(field, k)
     if not nP == nL == field.q**k:
         raise ValueError(f"nP={nP} nL={nL} do not match (p^m)^k for p={p} m={m} k={k}")
+    if kv["e"] == field.q ** (k + 1):
+        g = _built_if_rendered(field, k, text)
+        if g is not None:
+            return g
     end = nP + nL
     flat, ends = array("i"), array("i", [0])
     # One P row as to_text writes it: lines "<P id> <L id>", plain decimals

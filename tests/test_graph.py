@@ -436,6 +436,61 @@ def test_parse_matches_set_parse(field, k):
     assert parse(text) == set_parse(text)
 
 
+def _off_moment(text: str, field, k: int, kind: str, where: str) -> str:
+    """A valid v1 text one edge off the moment graph's export text: the
+    first, a middle or the last edge line dropped, with e= recounted, or
+    its L id moved to the next id of its direction block, with e= kept.
+    A P row holds one line of each direction and each direction's lines
+    are nL/q consecutive ids, so the moved id stays free and in order."""
+    head = text.index("\n") + 1
+    if where == "first":
+        start = head
+    elif where == "last":
+        start = text.rindex("\n", 0, len(text) - 1) + 1
+    else:
+        start = text.index("\n", (head + len(text)) // 2) + 1
+    end = text.index("\n", start) + 1
+    if kind == "drop":
+        stem, _, e = text[: head - 1].rpartition("=")
+        return f"{stem}={int(e) - 1}\n" + text[head:start] + text[end:]
+    n, block = field.q**k, field.q ** (k - 1)
+    ps, ls = text[start:end].split()
+    lid = int(ls)
+    lid += 1 if (lid - n + 1) % block else -1
+    return text[:start] + f"{ps} {lid}\n" + text[end:]
+
+
+OFF_MOMENT = [(kind, where) for kind in ("drop", "edit") for where in ("first", "middle", "last")]
+
+
+@pytest.mark.parametrize("field,k", ROW_CASES, ids=[f"q{f.q}-k{k}" for f, k in ROW_CASES])
+def test_parse_reads_texts_off_the_moment_graph_by_the_row_scan(field, k):
+    # A moment-sized e= sends parse to compare the text with the built
+    # graph's export; an edit stops that walk at the first, a middle or
+    # the last P row. A dropped edge changes e= and is scanned at once.
+    text = to_text(build(field, k))
+    for kind, where in OFF_MOMENT:
+        off = _off_moment(text, field, k, kind, where)
+        g = parse(off)
+        assert g == set_parse(off) and not g.is_moment_graph
+
+
+class _Transposed(Exception):
+    pass
+
+
+@pytest.mark.parametrize("field,k", [(F2, 2), (F3, 3), (F4, 3), (F5, 2)], ids=repr)
+def test_parse_builds_a_moment_text_without_the_row_scan(monkeypatch, field, k):
+    def transposed(*args):
+        raise _Transposed
+
+    monkeypatch.setattr("girthforge.graph.transpose", transposed)
+    text = to_text(build(field, k))
+    assert parse(text) == build(field, k)
+    with pytest.raises(_Transposed):
+        parse(_off_moment(text, field, k, "drop", "last"))
+
+
 F3_K3_TEXT = to_text(build(F3, 3))
 
 
@@ -673,13 +728,19 @@ def _traced_peak(fn) -> int:
     return _traced(fn)[1]
 
 
-def test_parse_allocates_a_small_multiple_of_its_text():
+@pytest.mark.parametrize("dropped", [False, True], ids=["moment", "dropped-edge"])
+def test_parse_allocates_a_small_multiple_of_its_text(dropped):
     # 65 536 edges in 637 650 characters. Splitting the body into line
     # strings, with an int per edge, took 14.4x the text; reading it one
     # P row at a time into tuple rows took 5.1x, into flat rows 1.7x, the
-    # parsed graph included.
-    peak = _traced_peak(lambda: parse(GF16_K3_TEXT))
-    assert peak < 8 * len(GF16_K3_TEXT)
+    # parsed graph included. Building the moment graph and comparing its
+    # export with the text takes 1.4x; a dropped edge is read by the row
+    # scan, still 1.7x.
+    text = GF16_K3_TEXT
+    if dropped:
+        text = _off_moment(text, make_field(2, 4), 3, "drop", "last")
+    peak = _traced_peak(lambda: parse(text))
+    assert peak < 8 * len(text)
 
 
 def test_built_graph_keeps_two_int32_arrays():
@@ -695,11 +756,17 @@ def test_built_graph_keeps_two_int32_arrays():
     assert peak < 2 * (2 * 4 * e + n)
 
 
-def test_parse_peaks_a_small_bound_above_the_text():
+@pytest.mark.parametrize("dropped", [False, True], ids=["moment", "dropped-edge"])
+def test_parse_peaks_a_small_bound_above_the_text(dropped):
     # GF(25), k=3: 390 625 edges in 4 409 803 characters. Parsing into
     # tuple rows peaked at 17.8 MiB above the text; into flat rows 5.2 MiB,
-    # 14 bytes an edge, the 8 that the graph keeps included.
-    text = to_text(build(make_field(5, 2), 3))
+    # 14 bytes an edge, the 8 that the graph keeps included. The row scan
+    # still peaks there on a dropped edge; the moment text, built and
+    # compared with its export, peaks at 4.3 MiB, 12 bytes an edge.
+    field = make_field(5, 2)
+    text = to_text(build(field, 3))
+    if dropped:
+        text = _off_moment(text, field, 3, "drop", "last")
     g, peak, kept = _traced(lambda: parse(text))
     e = g.edge_count()
     assert kept < 9 * e
