@@ -19,6 +19,14 @@ log inverts it, zech[d] = log(1 + g^d) (Zech's logarithm, -1 where
 1 + g^d = 0) and neg[a] = -a. Then a*b = g^(log a + log b),
 a^-1 = g^(q - 1 - log a) and a + b = a * (1 + b/a) = g^(log a +
 zech[log b - log a]), each a few list lookups.
+
+The graph kernels and lines4.points_of read whole rows instead of
+calling the arithmetic once per entry: add_rows[a][b] = a + b and
+mul_rows[a][b] = a * b, q lists of q ints each, computed from add and
+mul on first use and kept for the field's lifetime; make_field builds
+neither. The commands reach them only for fields under the moment
+module's edge cap (q <= 322) or the line-family caps (q <= 45), so a
+table holds at most about 10^5 entries there.
 """
 
 from __future__ import annotations
@@ -183,6 +191,18 @@ class Field:
     def _tables(self) -> _Tables:
         """exp, log, zech and neg of an extension field, built on first use."""
         return _build_tables(self.p, self.m, self.modulus)
+
+    @cached_property
+    def add_rows(self) -> list[list[int]]:
+        """add_rows[a][b] = a + b, built on first use."""
+        add, q = self.add, self.q
+        return [[add(a, b) for b in range(q)] for a in range(q)]
+
+    @cached_property
+    def mul_rows(self) -> list[list[int]]:
+        """mul_rows[a][b] = a * b, built on first use."""
+        mul, q = self.mul, self.q
+        return [[mul(a, b) for b in range(q)] for a in range(q)]
 
     def add(self, a: int, b: int) -> int:
         if self.m == 1:

@@ -75,10 +75,9 @@ def canonical_genline(field: Field, x: Point, d: Point) -> GenLine:
 
 def points_of(field: Field, line: GenLine) -> list[Point]:
     """The q distinct points base + y*dir of the line, in order of y."""
-    ys = field.elements()
-    coords = [
-        [field.add(b, field.mul(y, d)) for y in ys] for b, d in zip(line.base, line.dir)
-    ]
+    add_rows, mul_rows = field.add_rows, field.mul_rows
+    # Coordinate i of the y-th point is entry y * dir_i of the row of base_i.
+    coords = [map(add_rows[b].__getitem__, mul_rows[d]) for b, d in zip(line.base, line.dir)]
     return list(zip(*coords))
 
 

@@ -26,12 +26,19 @@ one packed term per coordinate, read from a table of q packed terms per
 coordinate, and ``int.to_bytes`` lays it out as the bytes of an
 ``array('i')``. The point side packs the q rows of x_0 = 0..q-1 into
 one int, which makes its terms independent of x_0.
+
+The term tables are read from the field's ``add_rows`` and ``mul_rows``
+a whole row at a time, with ``map(row.__getitem__, ...)``: a difference
+b - s is entry b of the row of -s. Each term is packed once from field
+elements and then scaled to its digit, so the kernels make a few field
+calls per direction and coordinate, not one per table entry.
 """
 
 from __future__ import annotations
 
 import sys
 from array import array
+from itertools import chain
 from typing import Iterable, Iterator, NamedTuple
 
 from girthforge.errors import SizeLimitError
@@ -135,6 +142,7 @@ def line_blocks(field: Field, k: int) -> Iterator[bytes]:
     """Each line's q point ids, ascending, in line-id order, as the bytes
     of an array('i'): one block per direction z."""
     q = field.q
+    add_rows, mul_rows = field.add_rows, field.mul_rows
     yield array("i", range(q**k)).tobytes()
     top = _pack(c * q ** (k - 1) for c in range(q))
     width = 4 * q
@@ -144,18 +152,19 @@ def line_blocks(field: Field, k: int) -> Iterator[bytes]:
         while len(u) < k - 1:
             u.append(field.mul(u[-1], w))
         u.reverse()  # u[i] = w^(k-1-i), the step of x_i as c steps by 1
-        terms = []
-        for i in range(k - 1):
-            cu = [field.mul(c, u[i]) for c in range(q)]
-            terms.append([_pack(field.add(e, x) * q**i for x in cu) for e in range(q)])
+        nu = [field.neg(ui) for ui in u]
+        # terms[i][e] packs e + c u_i for c = 0..q-1, scaled to digit i.
+        terms = [
+            [_pack(map(row.__getitem__, mul_rows[ui])) * q**i for row in add_rows]
+            for i, ui in enumerate(u)
+        ]
         rows = []
         for t in range(q):
-            # x_i = b_i + (c - t) u_i = (b_i - t u_i) + c u_i, and b_0 = 0.
-            shifts = [field.mul(t, ui) for ui in u]
-            tables = [
-                [terms[i][field.sub(b, shifts[i])] for b in range(q)] for i in range(1, k - 1)
-            ]
-            rows += _sums(top + terms[0][field.sub(0, shifts[0])], tables)
+            # x_i = b_i + (c - t) u_i = (b_i - t u_i) + c u_i, and b_0 = 0;
+            # b_i - t u_i is entry b_i of the row of s_i = t (-u_i).
+            s = list(map(mul_rows[t].__getitem__, nu))
+            tables = [list(map(terms[i].__getitem__, add_rows[s[i]])) for i in range(1, k - 1)]
+            rows += _sums(top + terms[0][s[0]], tables)
         yield b"".join([row.to_bytes(width, sys.byteorder) for row in rows])
 
 
@@ -168,15 +177,17 @@ def point_blocks(field: Field, k: int) -> Iterator[bytes]:
     (c - y z^i) q^(i-1), the base digit b_i of that line's id.
     """
     q, n = field.q, field.q**k
-    yz = [(y, z) for y in range(q) for z in range(q)]
-    base = _pack(n + z * q ** (k - 1) for _, z in yz)
+    add_rows, mul_rows = field.add_rows, field.mul_rows
+    base = _pack(list(range(n, 2 * n, q ** (k - 1))) * q)
+    ny = [field.neg(y) for y in range(q)]
     zpow, prods = list(range(q)), []  # zpow[z] = z^i for i = 1, 2, ...
     for _ in range(1, k):
-        prods.append([field.mul(y, zpow[z]) for y, z in yz])
-        zpow = [field.mul(a, z) for z, a in enumerate(zpow)]
+        # -y z^i for each (y, z): c - y z^i is its entry in the row of c.
+        prods.append(list(chain.from_iterable(map(mul_rows[y].__getitem__, zpow) for y in ny)))
+        zpow = [mul_rows[a][z] for z, a in enumerate(zpow)]
 
     def term(i: int, c: int) -> int:
-        return _pack(field.sub(c, v) * q ** (i - 1) for v in prods[i - 1])
+        return _pack(map(add_rows[c].__getitem__, prods[i - 1])) * q ** (i - 1)
 
     tables = [[term(i, c) for c in range(q)] for i in range(1, k - 1)]
     width = 4 * q * q

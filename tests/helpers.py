@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 import os
 import random
-from collections import deque
+from collections import Counter, deque
 from pathlib import Path
 from typing import Iterable, Iterator
 
@@ -40,6 +40,22 @@ CLI_ENV = {
     **os.environ,
     "PYTHONPATH": os.pathsep.join(filter(None, (_SRC, os.environ.get("PYTHONPATH")))),
 }
+
+
+def count_field_calls(monkeypatch) -> Counter:
+    """Count every call of Field.add, sub, mul and inv, by name, until the
+    monkeypatch is undone. A call made inside another, like the add
+    inside an extension field's sub, counts as well."""
+    calls: Counter = Counter()
+    for name in ("add", "sub", "mul", "inv"):
+        real = getattr(Field, name)
+
+        def counted(self, *args, name=name, real=real):
+            calls[name] += 1
+            return real(self, *args)
+
+        monkeypatch.setattr(Field, name, counted)
+    return calls
 
 
 def from_edges(

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from girthforge import gf
 from girthforge.errors import SizeLimitError
 from girthforge.gf import Field, is_prime, make_field
-from helpers import PolyField, field_pow
+from helpers import PolyField, count_field_calls, field_pow
 
 PRIME_POWERS_81 = [
     (p, m)
@@ -199,6 +199,42 @@ def test_tables_match_polynomial_oracle_sampled(p, m):
     rng = random.Random(p * 100 + m)
     pairs = [(rng.randrange(f.q), rng.randrange(f.q)) for _ in range(2000)]
     _assert_matches_oracle(f, pairs, [a for a, _ in pairs])
+
+
+def _assert_rows_match(f: Field, pairs, oracle=None) -> None:
+    for a, b in pairs:
+        assert f.add_rows[a][b] == f.add(a, b), (f, a, b)
+        assert f.mul_rows[a][b] == f.mul(a, b), (f, a, b)
+        if oracle is not None:
+            assert f.add_rows[a][b] == oracle.add(a, b), (f, a, b)
+            assert f.mul_rows[a][b] == oracle.mul(a, b), (f, a, b)
+
+
+@pytest.mark.parametrize("p,m", PRIME_POWERS_81)
+def test_rows_match_the_arithmetic_exhaustive(p, m):
+    f = make_field(p, m)
+    assert len(f.add_rows) == len(f.mul_rows) == f.q
+    assert all(len(row) == f.q for row in f.add_rows + f.mul_rows)
+    oracle = PolyField(p, m, f.modulus) if m > 1 else None
+    _assert_rows_match(f, itertools.product(f.elements(), repeat=2), oracle)
+
+
+@pytest.mark.parametrize("p,m", [(2, 8), (317, 1)])
+def test_rows_match_the_arithmetic_sampled(p, m):
+    f = make_field(p, m)
+    rng = random.Random(p * 100 + m)
+    pairs = [(rng.randrange(f.q), rng.randrange(f.q)) for _ in range(2000)]
+    _assert_rows_match(f, pairs, PolyField(p, m, f.modulus) if m > 1 else None)
+
+
+def test_rows_are_built_on_first_use(monkeypatch):
+    calls = count_field_calls(monkeypatch)
+    f = make_field(3, 2)
+    assert not calls
+    rows = f.add_rows
+    assert calls == {"add": 81}
+    assert f.add_rows is rows and f.mul_rows is f.mul_rows
+    assert calls == {"add": 81, "mul": 81}
 
 
 def test_tables_are_built_lazily_once(monkeypatch):

@@ -25,6 +25,7 @@ from girthforge.moment import MomentLine, enumerate_lines, points_on
 from girthforge.rows import Rows
 from helpers import (
     build_from_points,
+    count_field_calls,
     edges,
     from_edges,
     id_line,
@@ -302,7 +303,9 @@ def test_build_rejects_k_as_enumerate_lines_does(k):
 # Every (field, k) with 2 <= k <= 5 and q^k <= 2^16 over these fields.
 ROW_CASES = [
     (make_field(p, m), k)
-    for p, m in ((2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2), (2, 4))
+    for p, m in (
+        (2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2), (2, 4), (7, 2), (2, 6)
+    )
     for k in range(2, 6)
     if (p**m) ** k <= 1 << 16
 ]
@@ -320,6 +323,19 @@ def test_build_p_side_is_the_set_based_transpose(field, k):
     mirror = from_edges(g.nP, g.nL, [(p, l) for l, row in enumerate(g.adjL) for p in row])
     assert g.adjP == mirror.adjP and g.adjL == mirror.adjL
     assert g.adjP.starts == g.adjL.starts == range(0, g.edge_count() + 1, field.q)
+
+
+@pytest.mark.parametrize("p,m,k", [(3, 2, 2), (3, 2, 3), (3, 2, 4), (3, 2, 5), (5, 2, 3)])
+def test_build_and_certificate_read_the_field_by_rows(monkeypatch, p, m, k):
+    # 2 q^2 calls fill the field's add and mul rows. Each pass of the
+    # line blocks, one in build and one in the certificate, makes under
+    # 3k calls per direction, and the point blocks 2 per element. One
+    # call per table entry made over 10^5 calls at GF(25), k=3.
+    calls = count_field_calls(monkeypatch)
+    field = make_field(p, m)
+    assert build(field, k).is_moment_graph
+    q = field.q
+    assert sum(calls.values()) <= 2 * q * q + 6 * k * q
 
 
 @pytest.mark.parametrize(
@@ -747,7 +763,7 @@ def test_built_graph_keeps_two_int32_arrays():
     # GF(16), k=4: 2^20 edges, 65 536 vertices a side. Each side is one
     # array of 4-byte ids and a range; tuple rows kept 36 bytes an entry.
     field = make_field(2, 4)
-    field.mul(2, 2)  # the field's tables are built outside the count
+    field.add_rows, field.mul_rows  # the field's tables and rows are built outside the count
     g, peak, kept = _traced(lambda: build(field, 4))
     e, n = g.edge_count(), g.nP + g.nL
     assert e == 1 << 20
