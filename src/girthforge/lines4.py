@@ -13,10 +13,12 @@ without solving a system per pair.
 A "C4 of lines" is four distinct lines whose consecutive pairs meet in
 four pairwise distinct points; equivalently an 8-cycle in the incidence
 graph between the lines and their multi-line points. The detector
-reads those points off the index and asks the cycle enumerator. The
-greedy search keeps the index of its members, looks up a candidate's
-q points in it, and only ever inspects the three-step alternating
-walks through the candidate line.
+reads those points off the index and takes the first 8-cycle there from
+``verify.first_cycle``, which meets half-paths to find the least point
+that is the minimum of an 8-cycle and runs the cycle DFS from that
+point alone. The greedy search keeps the index of its members, looks up
+a candidate's q points in it, and only ever inspects the three-step
+alternating walks through the candidate line.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from girthforge.moment import (
     enumerate_lines,
     moment_vector,
 )
-from girthforge.verify import iter_cycles
+from girthforge.verify import first_cycle
 
 DIM = 4
 FAMILY_CAP = 1 << 16
@@ -153,7 +155,7 @@ def has_line_c4(field: Field, family: Iterable[GenLine]) -> LineC4Witness | None
         for li in through[pt]:
             rows[li].append(pi)
     g = from_rows(len(pts), rows)
-    cycle = next(iter_cycles(g, 8), None)
+    cycle = first_cycle(g, 8)
     if cycle is None:
         return None
     # Cycle alternates point, line, point, line, ... starting on the

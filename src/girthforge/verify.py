@@ -7,7 +7,10 @@ IDs greater than the root, and of the two traversal directions the one
 whose second vertex is smaller than its last is kept. With sorted
 adjacency the first cycle found is therefore the lexicographically
 smallest witness. P ids sort below L ids, so every cycle is rooted at a
-P vertex.
+P vertex. ``first_cycle`` gives that witness without the rest of the
+enumeration: it picks the least P vertex that is the minimum of some
+cycle of the length, found as two half-paths over higher ids that meet
+at one end vertex and share no other, and runs the DFS from it alone.
 
 One rule, ``_flag``, decides which symmetries every search may use.
 When a graph is certified as the moment graph of its metadata (checked
@@ -202,17 +205,78 @@ def _flag_walks(g: BiGraph, length: int, l0: int) -> int:
     )
 
 
-def iter_cycles(g: BiGraph, length: int) -> Iterator[CycleWitness]:
-    """Canonically enumerate every simple cycle of exactly this length."""
-    if length % 2:
-        return
+def _check_all_roots(g: BiGraph, length: int) -> None:
+    """Check an even length, and refuse 10 and 12 past the vertex cap."""
     _check_cycle_length(length)
     n = g.nP + g.nL
     if length >= 10 and n > BIG_CYCLE_VERTEX_CAP:
         raise SizeLimitError(
             f"{n} vertices exceeds cap {BIG_CYCLE_VERTEX_CAP} for length >= 10"
         )
+
+
+def iter_cycles(g: BiGraph, length: int) -> Iterator[CycleWitness]:
+    """Canonically enumerate every simple cycle of exactly this length."""
+    if length % 2:
+        return
+    _check_all_roots(g, length)
     yield from _cycles_from(g, length, range(g.nP))
+
+
+def _roots_a_cycle(g: BiGraph, length: int, root: int) -> bool:
+    """Whether some cycle of this even length has root as its minimum vertex.
+
+    Such a cycle is two simple half-paths of length/2 steps from root,
+    over ids above root, that end at the same vertex and share no other.
+    The half-paths are made depth-first, each checked on arrival against
+    the earlier ones at its end, so the search stops at the first pair.
+    """
+    nbrs = g.neighbors
+    last = length // 2 - 1
+    inner: list[int] = []
+    at_end: dict[int, list[frozenset[int]]] = {}
+
+    def extend(v: int) -> bool:
+        if len(inner) == last:
+            mid = frozenset(inner)
+            for w in nbrs(v):
+                if w > root and w not in mid:
+                    halves = at_end.setdefault(w, [])
+                    if any(mid.isdisjoint(h) for h in halves):
+                        return True
+                    halves.append(mid)
+            return False
+        for w in nbrs(v):
+            if w > root and w not in inner:
+                inner.append(w)
+                if extend(w):
+                    return True
+                inner.pop()
+        return False
+
+    return extend(root)
+
+
+def first_cycle(g: BiGraph, length: int) -> CycleWitness | None:
+    """The first cycle of iter_cycles(g, length), or None.
+
+    The enumeration visits roots in ascending order, so its first cycle
+    is the canonical DFS's first from the least P vertex that roots a
+    cycle of the length. That root is found by meeting half-paths, and
+    the DFS runs from it alone.
+    """
+    if length % 2:
+        return None
+    _check_all_roots(g, length)
+    for root in range(g.nP):
+        if _roots_a_cycle(g, length, root):
+            w = next(_cycles_from(g, length, range(root, root + 1)), None)
+            if w is None:
+                raise RuntimeError(
+                    f"half-paths close a cycle of length {length} at {root} but the DFS finds none"
+                )
+            return w
+    return None
 
 
 def count_cycles(g: BiGraph, length: int) -> tuple[int, CycleWitness | None]:

@@ -10,6 +10,7 @@ from pathlib import Path
 from typing import Iterable, Iterator
 
 import girthforge
+from girthforge import verify
 from girthforge.gf import Field, _pdivmod, _ptrim, make_field
 from girthforge.graph import FORMAT_V1, BiGraph, point_id, read_headed_text
 from girthforge.lines4 import (
@@ -55,6 +56,20 @@ def count_field_calls(monkeypatch) -> Counter:
             return real(self, *args)
 
         monkeypatch.setattr(Field, name, counted)
+    return calls
+
+
+def record_dfs_roots(monkeypatch) -> list[range]:
+    """The roots argument of every call of the canonical cycle DFS,
+    verify._cycles_from, until the monkeypatch is undone."""
+    calls: list[range] = []
+    real = verify._cycles_from
+
+    def recorded(g, length, roots):
+        calls.append(roots)
+        return real(g, length, roots)
+
+    monkeypatch.setattr(verify, "_cycles_from", recorded)
     return calls
 
 

@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from girthforge import lines4
 from girthforge.errors import SizeLimitError
 from girthforge.gf import make_field
 from girthforge.graph import build
@@ -26,7 +27,7 @@ from girthforge.lines4 import (
     validate_line_c4,
     write_family,
 )
-from girthforge.verify import count_cycles
+from girthforge.verify import count_cycles, first_cycle, iter_cycles
 from helpers import (
     SAME_LINE,
     blocked,
@@ -39,6 +40,7 @@ from helpers import (
     pairwise_line_c4,
     pivot,
     random_genline,
+    record_dfs_roots,
 )
 
 F2 = make_field(2)
@@ -514,3 +516,54 @@ def test_parse_family_fuzz_round_trips_or_raises(text):
     sink = io.StringIO()
     write_family(FAMILY_FIELDS[p, m], fam, sink)
     assert sink.getvalue() == text
+
+
+@pytest.mark.parametrize("field", [F2, F3, F4], ids=repr)
+def test_first_cycle_matches_the_enumeration_on_line_incidence_graphs(field, monkeypatch):
+    graphs = []
+
+    def kept(g, length):
+        graphs.append(g)
+        return first_cycle(g, length)
+
+    monkeypatch.setattr(lines4, "first_cycle", kept)
+    rng = random.Random(11 * field.q)
+    for _ in range(10):
+        has_line_c4(field, [random_genline(field, rng) for _ in range(rng.randint(4, 40))])
+    assert len(graphs) == 10
+    cyclic = 0
+    for g in graphs:
+        firsts = [first_cycle(g, length) for length in range(4, 13)]
+        assert firsts == [next(iter_cycles(g, length), None) for length in range(4, 13)]
+        cyclic += any(firsts)
+    assert 0 < cyclic < 10
+
+
+@pytest.mark.parametrize(
+    "field,seed", [(f, seed) for f in (F2, F3) for seed in range(5)] + [(F4, 0)], ids=repr
+)
+def test_c4free_verdict_runs_no_cycle_dfs(field, seed, monkeypatch):
+    fam = greedy_c4free(field, seed)
+    roots = record_dfs_roots(monkeypatch)
+    assert has_line_c4(field, fam) is None
+    assert roots == []
+
+
+@pytest.mark.parametrize("field", [F2, F3, F4], ids=repr)
+def test_found_verdict_runs_the_cycle_dfs_once(field, monkeypatch):
+    seed = moment_seed(field)
+    roots = record_dfs_roots(monkeypatch)
+    assert has_line_c4(field, seed) is not None
+    assert len(roots) == 1 and len(roots[0]) == 1
+
+
+def test_has_line_c4_matches_pairwise_reference_on_the_q4_greedy_family():
+    fam = greedy_c4free(F4, 0)
+    assert has_line_c4(F4, fam) is None
+    assert pairwise_line_c4(F4, fam) is None
+    members = set(fam)
+    rejected = [l for l in all_genlines(F4) if l not in members]
+    for line in random.Random(16).sample(rejected, 5):
+        w = has_line_c4(F4, fam + [line])
+        assert w is not None
+        assert w == pairwise_line_c4(F4, fam + [line])

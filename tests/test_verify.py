@@ -8,7 +8,7 @@ import pytest
 from girthforge import verify
 from girthforge.errors import SizeLimitError
 from girthforge.gf import make_field
-from girthforge.graph import BiGraph, build
+from girthforge.graph import BiGraph, build, from_rows
 from girthforge.moment import line_through, points_on
 from girthforge.oracle import NAIVE_LEN_CAP, NAIVE_VERTEX_CAP, naive_cycle_count
 from girthforge.verify import (
@@ -16,6 +16,7 @@ from girthforge.verify import (
     construction_report,
     count_cycles,
     find_c4,
+    first_cycle,
     iter_cycles,
     l4_path_counts_from,
     max_l4_paths,
@@ -31,6 +32,7 @@ from helpers import (
     k33,
     path_fixture,
     random_bipartite,
+    record_dfs_roots,
     star_fixture,
     vertex_rooted_count,
     witness_directions,
@@ -483,3 +485,75 @@ def test_construction_report_checks_translations_once(monkeypatch):
     monkeypatch.setattr(BiGraph, "is_moment_graph", prop)
     assert construction_report(g).passed
     assert len(calls) == 1 and calls[0] is g
+
+
+FIRST_CYCLE_GRAPHS = list({(f.q, k): (f, k) for f, k, _ in ROOTED_CASES}.values())
+
+
+@pytest.mark.parametrize(
+    "field,k", FIRST_CYCLE_GRAPHS, ids=[f"q{f.q}-k{k}" for f, k in FIRST_CYCLE_GRAPHS]
+)
+def test_first_cycle_matches_the_enumeration_on_moment_graphs(field, k):
+    g = build(field, k)
+    for length in range(4, 13):
+        # GF(4), k=5 has no C10, and the all-roots DFS that shows it takes
+        # seconds; test_rooted_counts_match_full_enumeration runs it.
+        if (field.q, k, length) != (4, 5, 10):
+            assert first_cycle(g, length) == next(iter_cycles(g, length), None), length
+
+
+def _planted(length: int, root: int) -> BiGraph:
+    """A cycle of the length through P vertices root, root+1, ..., with
+    P vertices 0..root-1 on a path of lines hung from P vertex root, and
+    a line through P vertex 0 alone."""
+    half = length // 2
+    ring = [sorted((root + i, root + (i + 1) % half)) for i in range(half)]
+    tail = [[i, i + 1] for i in range(root)] + [[0]]
+    return from_rows(root + half, ring + tail)
+
+
+@pytest.mark.parametrize("root", (1, 3))
+@pytest.mark.parametrize("length", range(4, 13, 2))
+def test_first_cycle_finds_a_planted_cycle_off_p_vertex_0(length, root):
+    g = _planted(length, root)
+    assert len(g.adjP[0]) == 2 and len(g.adjP[root]) == 3
+    for probe in range(4, 13):
+        assert first_cycle(g, probe) == next(iter_cycles(g, probe), None), probe
+    w = first_cycle(g, length)
+    assert w is not None and w[0] == root
+
+
+def test_first_cycle_matches_the_enumeration_on_random_graphs():
+    for seed in range(60):
+        g = random_bipartite(seed, max_side=10)
+        for length in range(4, 13):
+            assert first_cycle(g, length) == next(iter_cycles(g, length), None), (seed, length)
+
+
+def test_first_cycle_refuses_long_lengths_past_the_vertex_cap():
+    # A 4-cycle padded with isolated P vertices past the cap.
+    g = from_rows(BIG_CYCLE_VERTEX_CAP, [[0, 1], [0, 1]])
+    for length in range(4, 10):
+        assert first_cycle(g, length) == next(iter_cycles(g, length), None), length
+    for length in (10, 12):
+        with pytest.raises(SizeLimitError) as enumerated:
+            next(iter_cycles(g, length))
+        with pytest.raises(SizeLimitError) as first:
+            first_cycle(g, length)
+        assert str(first.value) == str(enumerated.value)
+    assert first_cycle(g, 11) is None
+
+
+def test_first_cycle_runs_the_dfs_from_the_first_root_that_passes(monkeypatch):
+    roots = record_dfs_roots(monkeypatch)
+    g = _planted(8, 3)
+    assert first_cycle(g, 8)[0] == 3
+    assert roots == [range(3, 4)]
+    roots.clear()
+    assert first_cycle(g, 6) is None and roots == []
+
+
+def test_first_cycle_raises_when_the_dfs_finds_no_cycle_at_the_root(monkeypatch):
+    monkeypatch.setattr(verify, "_roots_a_cycle", lambda g, length, root: True)
+    with pytest.raises(RuntimeError, match="the DFS finds none"):
+        first_cycle(path_fixture(), 8)
