@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from functools import cache
 
 from girthforge.gf import make_field
 from girthforge.graph import build, export, stats
@@ -101,6 +102,7 @@ def _cmd_conjecture_greedy(args: argparse.Namespace) -> int:
     return 0
 
 
+@cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="girthforge",

@@ -11,6 +11,8 @@ P vertex. ``first_cycle`` gives that witness without the rest of the
 enumeration: it picks the least P vertex that is the minimum of some
 cycle of the length, found as two half-paths over higher ids that meet
 at one end vertex and share no other, and runs the DFS from it alone.
+``find_c4`` is ``first_cycle(g, 4)``. Every search reads adjacency only
+through ``g.neighbors``, so the row layout is known to ``graph`` alone.
 
 One rule, ``_flag``, decides which symmetries every search may use.
 When a graph is certified as the moment graph of its metadata (checked
@@ -19,17 +21,17 @@ metadata), two families of maps of GF(q)^k carry it onto itself: the
 translations, which act regularly on P, and the shears S_c, which send
 x_i to the sum over j <= i of C(i, j) * c^(i-j) * x_j, fix the origin
 and send direction z to z + c. Together they act transitively on the
-edges (flags). So the C4 scan and the length-4 path maximum start from
-P vertex 0 alone, and the cycle counts take only the cycles through the
-one edge from P vertex 0 to L0, the z=0 line through the origin: with
-c_e such cycles, a graph with E edges has E * c_e / length cycles of
-the length. c_e is a count of closed non-backtracking walks, with no
-on-path bookkeeping: in a graph with no cycle of length up to length/2
-each such walk runs once around one simple cycle, and the walks of the
-shorter lengths, counted the same way, show that there is none. A
-certified graph with a shorter cycle, and any other graph, is searched
-from every P vertex by the canonical DFS, which stays the oracle for
-the walks.
+edges (flags). So ``first_cycle`` and the length-4 path maximum start
+from P vertex 0 alone, and the cycle counts take only the cycles
+through the one edge from P vertex 0 to L0, the z=0 line through the
+origin: with c_e such cycles, a graph with E edges has E * c_e / length
+cycles of the length. c_e is a count of closed non-backtracking walks,
+with no on-path bookkeeping: in a graph with no cycle of length up to
+length/2 each such walk runs once around one simple cycle, and the
+walks of the shorter lengths, counted the same way, show that there is
+none. A certified graph with a shorter cycle, and any other graph, is
+searched from every P vertex by the canonical DFS, which stays the
+oracle for the walks.
 """
 
 from __future__ import annotations
@@ -114,28 +116,6 @@ def _roots(g: BiGraph) -> range:
     return range(g.nP if _flag(g) is None else 1)
 
 
-def find_c4(g: BiGraph) -> CycleWitness | None:
-    """First 4-cycle through a root P vertex, or None.
-
-    From a root p, each point reached through a line of p is mapped to
-    that line; a second line of p reaching the same point closes the C4
-    (p, l1, p2, l2). Every C4 passes through some P vertex, and on the
-    moment graph through P vertex 0. The scan costs O(sum deg^2) over
-    all roots and holds one root's O(deg^2) points.
-    """
-    nP = g.nP
-    for p in _roots(g):
-        reached: dict[int, int] = {}
-        for l2 in g.adjP[p]:
-            for p2 in g.adjL[l2 - nP]:
-                if p2 == p:
-                    continue
-                l1 = reached.setdefault(p2, l2)
-                if l1 != l2:
-                    return validate_cycle(g, (p, l1, p2, l2))
-    return None
-
-
 def _check_cycle_length(length: int) -> None:
     if length < 4 or length > MAX_CYCLE_LEN:
         raise ValueError(f"cycle length must be even in [4, {MAX_CYCLE_LEN}]")
@@ -160,14 +140,17 @@ def _cycles_from(g: BiGraph, length: int, roots: range) -> Iterator[CycleWitness
                 yield from extend(w, depth + 1)
                 on_path[w] = False
 
-    for root in roots:
-        if len(g.adjP[root]) < 2:
-            continue
-        closing = set(g.adjP[root])
-        path[0] = root
-        on_path[root] = True
-        yield from extend(root, 1)
-        on_path[root] = False
+    try:
+        for root in roots:
+            if len(nbrs(root)) < 2:
+                continue
+            closing = set(nbrs(root))
+            path[0] = root
+            on_path[root] = True
+            yield from extend(root, 1)
+            on_path[root] = False
+    finally:
+        del extend  # it refers to itself; free g even if the caller stops early
 
 
 def _flag_walks(g: BiGraph, length: int, l0: int) -> int:
@@ -196,7 +179,7 @@ def _flag_walks(g: BiGraph, length: int, l0: int) -> int:
 
     half = length // 2
     fwd = walk([(0, l0)], half - 1)
-    back = walk([(0, l) for l in g.adjP[0] if l != l0], half - 2)
+    back = walk([(0, l) for l in nbrs(0) if l != l0], half - 2)
     at: Counter[int] = Counter()
     for (_, v), n in fwd.items():
         at[v] += n
@@ -254,7 +237,9 @@ def _roots_a_cycle(g: BiGraph, length: int, root: int) -> bool:
                 inner.pop()
         return False
 
-    return extend(root)
+    found = extend(root)
+    del extend  # it refers to itself; free g now, not at the next collection
+    return found
 
 
 def first_cycle(g: BiGraph, length: int) -> CycleWitness | None:
@@ -263,12 +248,15 @@ def first_cycle(g: BiGraph, length: int) -> CycleWitness | None:
     The enumeration visits roots in ascending order, so its first cycle
     is the canonical DFS's first from the least P vertex that roots a
     cycle of the length. That root is found by meeting half-paths, and
-    the DFS runs from it alone.
+    the DFS runs from it alone. The candidate roots are _roots(g): on the
+    moment graph P vertex 0 alone, since a translation carries any cycle
+    onto one through vertex 0, the smallest id; on any other graph every
+    P vertex.
     """
     if length % 2:
         return None
     _check_all_roots(g, length)
-    for root in range(g.nP):
+    for root in _roots(g):
         if _roots_a_cycle(g, length, root):
             w = next(_cycles_from(g, length, range(root, root + 1)), None)
             if w is None:
@@ -277,6 +265,11 @@ def first_cycle(g: BiGraph, length: int) -> CycleWitness | None:
                 )
             return w
     return None
+
+
+def find_c4(g: BiGraph) -> CycleWitness | None:
+    """The first 4-cycle of the canonical enumeration, or None: first_cycle(g, 4)."""
+    return first_cycle(g, 4)
 
 
 def count_cycles(g: BiGraph, length: int) -> tuple[int, CycleWitness | None]:
@@ -301,7 +294,7 @@ def count_cycles(g: BiGraph, length: int) -> tuple[int, CycleWitness | None]:
     _check_cycle_length(length)
     l0 = _flag(g)
     if l0 is not None:
-        steps = len(g.adjP[0]) ** (length // 2)
+        steps = len(g.neighbors(0)) ** (length // 2)
         if steps > FLAG_WALK_CAP:
             raise SizeLimitError(
                 f"{steps} walk steps exceeds cap {FLAG_WALK_CAP} for length {length}"
@@ -327,15 +320,15 @@ def count_cycles(g: BiGraph, length: int) -> tuple[int, CycleWitness | None]:
 def l4_path_counts_from(g: BiGraph, p: int) -> Counter[int]:
     """Number of 5-distinct-vertex paths p-l1-p2-l2-p' for every endpoint p'."""
     counts: Counter[int] = Counter()
-    nP = g.nP
-    for l1 in g.adjP[p]:
-        for p2 in g.adjL[l1 - nP]:
+    nbrs = g.neighbors
+    for l1 in nbrs(p):
+        for p2 in nbrs(l1):
             if p2 == p:
                 continue
-            for l2 in g.adjP[p2]:
+            for l2 in nbrs(p2):
                 if l2 == l1:
                     continue
-                for p3 in g.adjL[l2 - nP]:
+                for p3 in nbrs(l2):
                     if p3 != p and p3 != p2:
                         counts[p3] += 1
     return counts

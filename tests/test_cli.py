@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import re
 import subprocess
@@ -135,6 +136,28 @@ def test_main_in_process_round_trip(tmp_path, capsys):
     assert capsys.readouterr().out.startswith("nP=25 nL=25 edges=125")
     rc = main(["generate", "--p", "2", "--m", "1", "--k", "2", "--out", str(tmp_path / "g.txt")])
     assert rc == 0
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--p", "3", "--k", "3"],
+        ["theta", "--p", "3", "--k", "4"],
+        ["conjecture-check", "--p", "2"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_main_in_process_leaves_no_cyclic_garbage(argv, capsys):
+    # What a call keeps in reference cycles waits for the cycle collector:
+    # in a loop of in-process commands, a graph or an argument parser a call.
+    main(argv)
+    gc.collect()
+    gc.disable()
+    try:
+        assert main(argv) == 0
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_huge_prime_is_refused_by_size_at_once(monkeypatch, capsys):

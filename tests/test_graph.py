@@ -4,6 +4,7 @@ import itertools
 import random
 import re
 import tracemalloc
+from array import array
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -452,12 +453,16 @@ def test_parse_matches_set_parse(field, k):
     assert parse(text) == set_parse(text)
 
 
-def _off_moment(text: str, field, k: int, kind: str, where: str) -> str:
+def _off_moment(
+    text: str, field, k: int, kind: str, where: str
+) -> tuple[str, tuple[int, int], int | None]:
     """A valid v1 text one edge off the moment graph's export text: the
     first, a middle or the last edge line dropped, with e= recounted, or
     its L id moved to the next id of its direction block, with e= kept.
     A P row holds one line of each direction and each direction's lines
-    are nL/q consecutive ids, so the moved id stays free and in order."""
+    are nL/q consecutive ids, so the moved id stays free and in order.
+    Returns the text, the edge (P id, L id) taken out and the L id it
+    moved to, None for a drop."""
     head = text.index("\n") + 1
     if where == "first":
         start = head
@@ -466,14 +471,28 @@ def _off_moment(text: str, field, k: int, kind: str, where: str) -> str:
     else:
         start = text.index("\n", (head + len(text)) // 2) + 1
     end = text.index("\n", start) + 1
+    ps, ls = text[start:end].split()
+    edge = (int(ps), int(ls))
     if kind == "drop":
         stem, _, e = text[: head - 1].rpartition("=")
-        return f"{stem}={int(e) - 1}\n" + text[head:start] + text[end:]
+        return f"{stem}={int(e) - 1}\n" + text[head:start] + text[end:], edge, None
     n, block = field.q**k, field.q ** (k - 1)
-    ps, ls = text[start:end].split()
-    lid = int(ls)
+    lid = edge[1]
     lid += 1 if (lid - n + 1) % block else -1
-    return text[:start] + f"{ps} {lid}\n" + text[end:]
+    return text[:start] + f"{ps} {lid}\n" + text[end:], edge, lid
+
+
+def _one_edge_off(g: BiGraph, edge: tuple[int, int], moved_to: int | None) -> BiGraph:
+    """g with the edge (p, l) dropped or, given moved_to, moved to (p, moved_to),
+    edited in both sides' rows."""
+    p, l = edge
+    adj_p, adj_l = list(g.adjP), list(g.adjL)
+    adj_p[p].remove(l)
+    adj_l[l - g.nP].remove(p)
+    if moved_to is not None:
+        adj_p[p] = array("i", sorted([*adj_p[p], moved_to]))
+        adj_l[moved_to - g.nP] = array("i", sorted([*adj_l[moved_to - g.nP], p]))
+    return BiGraph(g.nP, g.nL, Rows.of(adj_p), Rows.of(adj_l), g.meta)
 
 
 OFF_MOMENT = [(kind, where) for kind in ("drop", "edit") for where in ("first", "middle", "last")]
@@ -484,11 +503,14 @@ def test_parse_reads_texts_off_the_moment_graph_by_the_row_scan(field, k):
     # A moment-sized e= sends parse to compare the text with the built
     # graph's export; an edit stops that walk at the first, a middle or
     # the last P row. A dropped edge changes e= and is scanned at once.
-    text = to_text(build(field, k))
+    # The expected graph is the built one with the same edge edited in
+    # its rows; test_parse_matches_set_parse keeps the set-based reference.
+    built = build(field, k)
+    text = to_text(built)
     for kind, where in OFF_MOMENT:
-        off = _off_moment(text, field, k, kind, where)
+        off, edge, moved_to = _off_moment(text, field, k, kind, where)
         g = parse(off)
-        assert g == set_parse(off) and not g.is_moment_graph
+        assert g == _one_edge_off(built, edge, moved_to) and not g.is_moment_graph
 
 
 class _Transposed(Exception):
@@ -504,7 +526,7 @@ def test_parse_builds_a_moment_text_without_the_row_scan(monkeypatch, field, k):
     text = to_text(build(field, k))
     assert parse(text) == build(field, k)
     with pytest.raises(_Transposed):
-        parse(_off_moment(text, field, k, "drop", "last"))
+        parse(_off_moment(text, field, k, "drop", "last")[0])
 
 
 F3_K3_TEXT = to_text(build(F3, 3))
@@ -754,7 +776,7 @@ def test_parse_allocates_a_small_multiple_of_its_text(dropped):
     # scan, still 1.7x.
     text = GF16_K3_TEXT
     if dropped:
-        text = _off_moment(text, make_field(2, 4), 3, "drop", "last")
+        text = _off_moment(text, make_field(2, 4), 3, "drop", "last")[0]
     peak = _traced_peak(lambda: parse(text))
     assert peak < 8 * len(text)
 
@@ -782,7 +804,7 @@ def test_parse_peaks_a_small_bound_above_the_text(dropped):
     field = make_field(5, 2)
     text = to_text(build(field, 3))
     if dropped:
-        text = _off_moment(text, field, 3, "drop", "last")
+        text = _off_moment(text, field, 3, "drop", "last")[0]
     g, peak, kept = _traced(lambda: parse(text))
     e = g.edge_count()
     assert kept < 9 * e

@@ -1,6 +1,8 @@
 import dataclasses
+import gc
 import math
 import re
+import sys
 from functools import cached_property
 
 import pytest
@@ -449,6 +451,7 @@ def test_find_c4_matches_naive_oracle_on_random_graphs():
         g = random_bipartite(seed)
         w = find_c4(g)
         assert (w is None) == (naive_cycle_count(g, 4) == 0), seed
+        assert w == next(iter_cycles(g, 4), None), seed
         if w is not None:
             validate_cycle(g, w)
 
@@ -546,11 +549,39 @@ def test_first_cycle_refuses_long_lengths_past_the_vertex_cap():
 
 def test_first_cycle_runs_the_dfs_from_the_first_root_that_passes(monkeypatch):
     roots = record_dfs_roots(monkeypatch)
+    tried = []
+    roots_a_cycle = verify._roots_a_cycle
+
+    def spy(g, length, root):
+        tried.append(root)
+        return roots_a_cycle(g, length, root)
+
+    monkeypatch.setattr(verify, "_roots_a_cycle", spy)
     g = _planted(8, 3)
     assert first_cycle(g, 8)[0] == 3
-    assert roots == [range(3, 4)]
+    assert roots == [range(3, 4)] and tried == [0, 1, 2, 3]
     roots.clear()
     assert first_cycle(g, 6) is None and roots == []
+    # On the moment graph a cycle of any length would pass through P
+    # vertex 0, so it is the only root tried.
+    for search in (lambda: first_cycle(build(F3, 3), 6), lambda: find_c4(build(F5, 3))):
+        tried.clear()
+        assert search() is None and tried == [0] and roots == []
+
+
+def test_find_c4_holds_no_reference_to_the_graph():
+    # The half-path search and the DFS recurse through closures that refer
+    # to themselves and to the graph. Left to the cycle collector, they
+    # kept one graph a repetition alive in a generate-parse-find_c4 loop.
+    g = build(F5, 3)
+    gc.disable()
+    try:
+        for h, c4 in ((g, False), (dataclasses.replace(g, meta=None), False), (k22(), True)):
+            refs = sys.getrefcount(h)
+            assert (find_c4(h) is not None) == c4
+            assert sys.getrefcount(h) == refs
+    finally:
+        gc.enable()
 
 
 def test_first_cycle_raises_when_the_dfs_finds_no_cycle_at_the_root(monkeypatch):
