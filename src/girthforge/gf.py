@@ -184,9 +184,6 @@ class Field:
     def __repr__(self) -> str:
         return f"GF({self.q})"
 
-    def elements(self) -> range:
-        return range(self.q)
-
     @cached_property
     def _tables(self) -> _Tables:
         """exp, log, zech and neg of an extension field, built on first use."""

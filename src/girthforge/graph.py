@@ -153,13 +153,11 @@ def build(field: Field, k: int) -> BiGraph:
     return BiGraph(n, n, adj_p, adj_l, (field, k))
 
 
-def from_rows(
-    nP: int, adj_l: Iterable[Iterable[int]], meta: tuple[Field, int] | None = None
-) -> BiGraph:
+def from_rows(nP: int, adj_l: Iterable[Iterable[int]]) -> BiGraph:
     """The BiGraph whose L rows are adj_l, each strictly ascending P ids in
     [0, nP); the P rows are their transpose."""
     rows = Rows.of(adj_l)
-    return BiGraph(nP, len(rows), transpose(rows, nP, 0, nP), rows, meta)
+    return BiGraph(nP, len(rows), transpose(rows, nP, 0, nP), rows)
 
 
 def stats(g: BiGraph) -> GraphStats:

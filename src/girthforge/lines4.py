@@ -118,7 +118,7 @@ def moment_seed(field: Field) -> list[GenLine]:
     A seed that has_line_c4 would refuse is refused before it is built.
     """
     _check_family_size(field.q**DIM)
-    dirs = [moment_vector(field, z, DIM) for z in field.elements()]
+    dirs = [moment_vector(field, z, DIM) for z in range(field.q)]
     return [GenLine(dirs[line.z], line.base) for line in enumerate_lines(field, DIM)]
 
 
@@ -225,19 +225,18 @@ class C4FreeFamily:
         return True
 
 
-def greedy_c4free(field: Field, seed: int | None = 0) -> list[GenLine]:
+def greedy_c4free(field: Field, seed: int) -> list[GenLine]:
     """Greedily grow a maximal C4-of-lines-free family over GF(q)^4.
 
     Candidates are all lines of the space in a seeded pseudorandom
-    order (seed None keeps the canonical sorted order). The result is
+    order. The result is
     maximal: any skipped line would close a C4 against the members
     accepted before it, and members only accumulate.
     """
     if field.q > GREEDY_Q_CAP:
         raise SizeLimitError(f"greedy search capped at q <= {GREEDY_Q_CAP}")
     order = all_genlines(field)
-    if seed is not None:
-        random.Random(seed).shuffle(order)
+    random.Random(seed).shuffle(order)
     fam = C4FreeFamily(field)
     for cand in order:
         fam.try_add(cand)

@@ -100,7 +100,7 @@ def points_on(field: Field, line: MomentLine) -> list[Point]:
     mv = moment_vector(field, line.z, len(line.base))
     return [
         tuple(field.add(b, field.mul(y, mi)) for b, mi in zip(line.base, mv))
-        for y in field.elements()
+        for y in range(field.q)
     ]
 
 

@@ -31,22 +31,22 @@ def naive_cycle_count(g: BiGraph, length: int) -> int:
             nbrs[p].add(l)
             nbrs[l].add(p)
 
-    total = 0
-
-    def extend(seq: list[int], used: set[int]) -> None:
-        nonlocal total
-        if len(seq) == length:
-            if seq[0] in nbrs[seq[-1]]:
-                total += 1
-            return
-        for w in nbrs[seq[-1]]:
-            if w not in used:
-                extend(seq + [w], used | {w})
-
-    for v in range(n):
-        extend([v], {v})
+    total = sum(_closed_sequences(nbrs, [v], {v}, length) for v in range(n))
     assert total % (2 * length) == 0
     return total // (2 * length)
+
+
+def _closed_sequences(
+    nbrs: dict[int, set[int]], seq: list[int], used: set[int], length: int
+) -> int:
+    """Closed distinct-vertex sequences of the length that extend seq."""
+    if len(seq) == length:
+        return int(seq[0] in nbrs[seq[-1]])
+    return sum(
+        _closed_sequences(nbrs, seq + [w], used | {w}, length)
+        for w in nbrs[seq[-1]]
+        if w not in used
+    )
 
 
 def naive_l4_paths(g: BiGraph, p: int, p2: int) -> int:

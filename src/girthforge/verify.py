@@ -13,6 +13,10 @@ cycle of the length, found as two half-paths over higher ids that meet
 at one end vertex and share no other, and runs the DFS from it alone.
 ``find_c4`` is ``first_cycle(g, 4)``. Every search reads adjacency only
 through ``g.neighbors``, so the row layout is known to ``graph`` alone.
+No search puts its graph in a reference cycle: the DFS recurses through
+the module-level generator ``_closed_paths``, and the half-paths are
+made a level at a time, so a graph is freed as soon as its last search
+ends, also when the caller stops an enumeration early.
 
 One rule, ``_flag``, decides which symmetries every search may use.
 When a graph is certified as the moment graph of its metadata (checked
@@ -38,7 +42,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Callable, Iterable, Iterator, Sequence
 
 from girthforge.errors import SizeLimitError
 from girthforge.gf import Field
@@ -52,6 +56,8 @@ MAX_CYCLE_LEN = 12
 # L costs about q^(L/2) walk steps; the walk cap admits C10 up to q = 23
 # and C12 up to q = 13, and the largest count it admits at each length
 # takes 3-8 s (C6 at q = 199, C8 at q = 53, C10 at q = 23, C12 at q = 13).
+# The same cap bounds the paths of the DFS a certified graph with a shorter
+# cycle falls back to: C12 on a k = 2 graph up to q = 4.
 BIG_CYCLE_VERTEX_CAP = 8192
 FLAG_WALK_CAP = 1 << 23
 
@@ -126,31 +132,38 @@ def _cycles_from(g: BiGraph, length: int, roots: range) -> Iterator[CycleWitness
     nbrs = g.neighbors
     path = [0] * length
     on_path = [False] * (g.nP + g.nL)
+    for root in roots:
+        if len(nbrs(root)) < 2:
+            continue
+        path[0] = root
+        on_path[root] = True
+        for w in _closed_paths(nbrs, set(nbrs(root)), path, on_path, 1):
+            yield validate_cycle(g, w)
+        on_path[root] = False
 
-    def extend(v: int, depth: int) -> Iterator[CycleWitness]:
-        root = path[0]
-        if depth == length:
-            if v in closing and path[1] < path[-1]:
-                yield validate_cycle(g, tuple(path))
-            return
-        for w in nbrs(v):
-            if w > root and not on_path[w]:
-                on_path[w] = True
-                path[depth] = w
-                yield from extend(w, depth + 1)
-                on_path[w] = False
 
-    try:
-        for root in roots:
-            if len(nbrs(root)) < 2:
-                continue
-            closing = set(nbrs(root))
-            path[0] = root
-            on_path[root] = True
-            yield from extend(root, 1)
-            on_path[root] = False
-    finally:
-        del extend  # it refers to itself; free g even if the caller stops early
+def _closed_paths(
+    nbrs: Callable[[int], Sequence[int]],
+    closing: set[int],
+    path: list[int],
+    on_path: list[bool],
+    depth: int,
+) -> Iterator[CycleWitness]:
+    """Fill path[depth:] depth first with simple paths over ids above
+    path[0], the vertices in path[:depth] marked in on_path, and yield as
+    a tuple each path that ends in closing, path[0]'s neighbours, and has
+    path[1] < path[-1]."""
+    root = path[0]
+    if depth == len(path):
+        if path[-1] in closing and path[1] < path[-1]:
+            yield tuple(path)
+        return
+    for w in nbrs(path[depth - 1]):
+        if w > root and not on_path[w]:
+            on_path[w] = True
+            path[depth] = w
+            yield from _closed_paths(nbrs, closing, path, on_path, depth + 1)
+            on_path[w] = False
 
 
 def _flag_walks(g: BiGraph, length: int, l0: int) -> int:
@@ -211,35 +224,26 @@ def _roots_a_cycle(g: BiGraph, length: int, root: int) -> bool:
 
     Such a cycle is two simple half-paths of length/2 steps from root,
     over ids above root, that end at the same vertex and share no other.
-    The half-paths are made depth-first, each checked on arrival against
-    the earlier ones at its end, so the search stops at the first pair.
+    The half-paths are made a level at a time, as tuples from root, each
+    level a generator over the one before, so no level is held whole, and
+    each is filed under every end it can take. An end that already holds
+    one disjoint from it shows a cycle, in whatever order they come, and
+    the search stops there.
     """
     nbrs = g.neighbors
-    last = length // 2 - 1
-    inner: list[int] = []
+    halves: Iterable[tuple[int, ...]] = [(root,)]
+    for _ in range(length // 2 - 1):
+        halves = (h + (w,) for h in halves for w in nbrs(h[-1]) if w > root and w not in h)
     at_end: dict[int, list[frozenset[int]]] = {}
-
-    def extend(v: int) -> bool:
-        if len(inner) == last:
-            mid = frozenset(inner)
-            for w in nbrs(v):
-                if w > root and w not in mid:
-                    halves = at_end.setdefault(w, [])
-                    if any(mid.isdisjoint(h) for h in halves):
-                        return True
-                    halves.append(mid)
-            return False
-        for w in nbrs(v):
-            if w > root and w not in inner:
-                inner.append(w)
-                if extend(w):
+    for h in halves:
+        mid = frozenset(h[1:])
+        for w in nbrs(h[-1]):
+            if w > root and w not in mid:
+                filed = at_end.setdefault(w, [])
+                if any(mid.isdisjoint(f) for f in filed):
                     return True
-                inner.pop()
-        return False
-
-    found = extend(root)
-    del extend  # it refers to itself; free g now, not at the next collection
-    return found
+                filed.append(mid)
+    return False
 
 
 def first_cycle(g: BiGraph, length: int) -> CycleWitness | None:
@@ -287,14 +291,17 @@ def count_cycles(g: BiGraph, length: int) -> tuple[int, CycleWitness | None]:
     of the full enumeration because vertex 0 has the smallest id; that DFS
     runs only when the count is nonzero. Any other graph, and a certified
     one with a shorter cycle, is enumerated from every P vertex, under the
-    vertex cap for lengths 10 and 12.
+    vertex cap for lengths 10 and 12. On a certified graph that DFS
+    explores at most nP * q * (q-1)^(length-2) paths, and is refused when
+    that exceeds FLAG_WALK_CAP.
     """
     if length % 2:
         return 0, None
     _check_cycle_length(length)
     l0 = _flag(g)
     if l0 is not None:
-        steps = len(g.neighbors(0)) ** (length // 2)
+        q = len(g.neighbors(0))
+        steps = q ** (length // 2)
         if steps > FLAG_WALK_CAP:
             raise SizeLimitError(
                 f"{steps} walk steps exceeds cap {FLAG_WALK_CAP} for length {length}"
@@ -308,6 +315,11 @@ def count_cycles(g: BiGraph, length: int) -> tuple[int, CycleWitness | None]:
                     f"{edges} * {c_e} cycles through one edge is not a multiple of {length}"
                 )
             return total, next(_cycles_from(g, length, range(1))) if total else None
+        paths = g.nP * q * (q - 1) ** (length - 2)
+        if paths > FLAG_WALK_CAP:
+            raise SizeLimitError(
+                f"{paths} DFS paths exceeds cap {FLAG_WALK_CAP} for length {length}"
+            )
     count = 0
     first: CycleWitness | None = None
     for w in iter_cycles(g, length):

@@ -88,7 +88,7 @@ def test_add_examples():
     assert f4.add(2, 3) == 1
     for pm in ((3, 1), (2, 3), (3, 2)):
         f = make_field(*pm)
-        assert all(f.add(a, 0) == a for a in f.elements())
+        assert all(f.add(a, 0) == a for a in range(f.q))
 
 
 def test_mul_examples():
@@ -190,7 +190,7 @@ def _assert_matches_oracle(f: Field, pairs, singles) -> None:
 @pytest.mark.parametrize("p,m", [pm for pm in PRIME_POWERS_81 if pm[1] > 1])
 def test_tables_match_polynomial_oracle_exhaustive(p, m):
     f = make_field(p, m)
-    _assert_matches_oracle(f, itertools.product(f.elements(), repeat=2), f.elements())
+    _assert_matches_oracle(f, itertools.product(range(f.q), repeat=2), range(f.q))
 
 
 @pytest.mark.parametrize("p,m", [(2, 8), (3, 4), (5, 3), (2, 11)])
@@ -216,7 +216,7 @@ def test_rows_match_the_arithmetic_exhaustive(p, m):
     assert len(f.add_rows) == len(f.mul_rows) == f.q
     assert all(len(row) == f.q for row in f.add_rows + f.mul_rows)
     oracle = PolyField(p, m, f.modulus) if m > 1 else None
-    _assert_rows_match(f, itertools.product(f.elements(), repeat=2), oracle)
+    _assert_rows_match(f, itertools.product(range(f.q), repeat=2), oracle)
 
 
 @pytest.mark.parametrize("p,m", [(2, 8), (317, 1)])

@@ -386,7 +386,8 @@ def _mutants(field, k):
     moved = [list(r) for r in rows]
     p = moved[0].pop()
     moved[1] = sorted({*moved[1], p})
-    return [changed, *(from_rows(n, r, g.meta) for r in (swapped, moved))]
+    mutants = (from_rows(n, r) for r in (swapped, moved))
+    return [changed, *(dataclasses.replace(h, meta=g.meta) for h in mutants)]
 
 
 @pytest.mark.parametrize("field,k", [(F2, 2), (F3, 3), (F4, 3), (F5, 4)], ids=repr)

@@ -304,12 +304,6 @@ def test_greedy_f2_regression():
     assert greedy_c4free(F2, 1) != fam
 
 
-def test_greedy_identity_order():
-    fam = greedy_c4free(F2, None)
-    assert has_line_c4(F2, fam) is None
-    assert 8 <= len(fam) <= 120
-
-
 def test_greedy_is_maximal():
     fam = greedy_c4free(F2, 0)
     members = set(fam)

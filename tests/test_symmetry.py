@@ -34,7 +34,7 @@ def _graph(q, k):
 
 def _primitive(field):
     """A generator of the multiplicative group, so one dilation stands for all."""
-    for lam in field.elements():
+    for lam in range(field.q):
         powers = {field_pow(field, lam, e) for e in range(1, field.q)}
         if len(powers) == field.q - 1 and 0 not in powers:
             return lam
@@ -97,7 +97,7 @@ def test_shear_is_an_automorphism(q, k):
     # An integer below p is the field element of the same id.
     field, g = make_field(*FIELDS[q]), _graph(q, k)
     coeff = [[comb(i, j) % field.p for j in range(i + 1)] for i in range(k)]
-    for c in field.elements():
+    for c in range(field.q):
         cpow = [field_pow(field, c, e) for e in range(k)]
 
         def shear(x):

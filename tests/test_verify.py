@@ -1,8 +1,10 @@
 import dataclasses
 import gc
 import math
+import pathlib
 import re
 import sys
+import types
 from functools import cached_property
 
 import pytest
@@ -423,6 +425,24 @@ def test_flag_walk_cap(monkeypatch):
         count_cycles(g, 10)
 
 
+def test_dfs_fallback_on_a_certified_graph_is_capped(monkeypatch):
+    # Girth 6 sends C12 on a certified k = 2 graph to the DFS from every
+    # P vertex, which explores at most nP * q * (q-1)^10 paths.
+    g = build(F4, 2)
+    paths = 16 * 4 * 3**10
+    assert paths <= verify.FLAG_WALK_CAP
+    count = count_cycles(g, 12)
+    assert count == _full_count(g, 12) and count[0] == 31_392
+    # Past the cap the count is refused before any DFS runs.
+    monkeypatch.setattr(verify, "_cycles_from", None)
+    message = f"^131072000 DFS paths exceeds cap {verify.FLAG_WALK_CAP} for length 12$"
+    with pytest.raises(SizeLimitError, match=message):
+        count_cycles(build(F5, 2), 12)
+    monkeypatch.setattr(verify, "FLAG_WALK_CAP", paths - 1)
+    with pytest.raises(SizeLimitError, match=f"^{paths} DFS paths exceeds cap {paths - 1} "):
+        count_cycles(g, 12)
+
+
 def test_translation_check_counts_repeated_rows():
     # Three copies of line {0, 1} and one of {2, 3} over GF(2)^2. The
     # translation by (0, 1) swaps the two point sets, so the set of rows
@@ -533,6 +553,18 @@ def test_first_cycle_matches_the_enumeration_on_random_graphs():
             assert first_cycle(g, length) == next(iter_cycles(g, length), None), (seed, length)
 
 
+def test_half_paths_agree_with_the_dfs_at_every_root():
+    outcomes = set()
+    for g in [build(F3, 2)] + [random_bipartite(seed) for seed in range(100)]:
+        for length in range(4, 13, 2):
+            for r in range(g.nP):
+                rooted = next(verify._cycles_from(g, length, range(r, r + 1)), None)
+                found = verify._roots_a_cycle(g, length, r)
+                assert found == (rooted is not None), (g, length, r)
+                outcomes.add(found)
+    assert outcomes == {False, True}
+
+
 def test_first_cycle_refuses_long_lengths_past_the_vertex_cap():
     # A 4-cycle padded with isolated P vertices past the cap.
     g = from_rows(BIG_CYCLE_VERTEX_CAP, [[0, 1], [0, 1]])
@@ -570,18 +602,43 @@ def test_first_cycle_runs_the_dfs_from_the_first_root_that_passes(monkeypatch):
 
 
 def test_find_c4_holds_no_reference_to_the_graph():
-    # The half-path search and the DFS recurse through closures that refer
-    # to themselves and to the graph. Left to the cycle collector, they
-    # kept one graph a repetition alive in a generate-parse-find_c4 loop.
+    # A search that kept its graph in a reference cycle, as a recursive
+    # closure does, left it to the cycle collector: one graph a repetition
+    # in a generate-parse-find_c4 loop. Each search here, stopped early or
+    # run out, must free it by reference counting alone.
     g = build(F5, 3)
+    searches = [
+        (g, lambda h: find_c4(h) is None),
+        (dataclasses.replace(g, meta=None), lambda h: find_c4(h) is None),
+        (k22(), lambda h: find_c4(h) is not None),
+        (build(F3, 2), lambda h: next(iter_cycles(h, 6)) is not None),
+        (_planted(8, 3), lambda h: first_cycle(h, 8)[0] == 3),
+        (dataclasses.replace(build(F3, 2), meta=None), lambda h: count_cycles(h, 6)[0] > 0),
+    ]
     gc.disable()
     try:
-        for h, c4 in ((g, False), (dataclasses.replace(g, meta=None), False), (k22(), True)):
+        for h, search in searches:
             refs = sys.getrefcount(h)
-            assert (find_c4(h) is not None) == c4
+            assert search(h)
             assert sys.getrefcount(h) == refs
     finally:
         gc.enable()
+
+
+def test_no_function_calls_itself_through_a_closure():
+    # A nested function that names itself holds itself in a cell: a
+    # reference cycle that keeps whatever its cells hold, such as a graph,
+    # until the cycle collector runs.
+    def code_objects(code):
+        yield code
+        for const in code.co_consts:
+            if isinstance(const, types.CodeType):
+                yield from code_objects(const)
+
+    package = pathlib.Path(verify.__file__).parent
+    for path in sorted(package.glob("*.py")):
+        for code in code_objects(compile(path.read_text(encoding="utf-8"), str(path), "exec")):
+            assert code.co_name not in code.co_freevars, (path.name, code.co_name)
 
 
 def test_first_cycle_raises_when_the_dfs_finds_no_cycle_at_the_root(monkeypatch):
