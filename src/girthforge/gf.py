@@ -20,20 +20,22 @@ log inverts it, zech[d] = log(1 + g^d) (Zech's logarithm, -1 where
 a^-1 = g^(q - 1 - log a) and a + b = a * (1 + b/a) = g^(log a +
 zech[log b - log a]), each a few list lookups.
 
-The graph kernels and lines4.points_of read whole rows instead of
-calling the arithmetic once per entry: add_rows[a][b] = a + b and
-mul_rows[a][b] = a * b, q lists of q ints each, computed from add and
-mul on first use and kept for the field's lifetime; make_field builds
-neither. The commands reach them only for fields under the moment
-module's edge cap (q <= 322) or the line-family caps (q <= 45), so a
-table holds at most about 10^5 entries there.
+The graph kernels and the point-id kernel of lines4 read whole rows
+instead of calling the arithmetic once per entry: add_rows[a][b] =
+a + b and mul_rows[a][b] = a * b, q lists of q ints each, computed from
+add and mul on first use and kept for the field's lifetime; make_field
+builds neither. The commands reach them only for fields under the
+moment module's edge cap (q <= 322) or the line-family caps (q <= 45),
+so a table holds at most about 10^5 entries there. make_field keeps the
+four fields it returned most recently, so commands run one after
+another in a process share each field's tables and rows.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 from girthforge.errors import SizeLimitError
 
@@ -256,6 +258,8 @@ def field_order(p: int, m: int) -> int:
     return q
 
 
+# Bounded: the tables of GF(2^20) alone take about 104 MB.
+@lru_cache(maxsize=4)
 def make_field(p: int, m: int = 1) -> Field:
     """Build GF(p^m) with the deterministic smallest irreducible modulus."""
     q = field_order(p, m)

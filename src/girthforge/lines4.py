@@ -5,10 +5,12 @@ scaled so its first nonzero coordinate (the pivot) is 1, and the base
 point is shifted along the line so its pivot coordinate is 0. Equal
 point sets then compare equal as tuples.
 
-Both searches treat a line as the set of its q points. Two distinct
-lines meet exactly when they share a point, so one index from each
-point to the lines through it gives every intersection of a family
-without solving a system per pair.
+Both searches treat a line as the set of its q points and name a point
+by its integer id, the base-q number whose digits are the coordinates
+with x_0 the most significant, so ascending ids are ascending point
+tuples. Two distinct lines meet exactly when they share a point, so one
+index from each point to the lines through it gives every intersection
+of a family without solving a system per pair.
 
 A "C4 of lines" is four distinct lines whose consecutive pairs meet in
 four pairwise distinct points; equivalently an 8-cycle in the incidence
@@ -16,15 +18,18 @@ graph between the lines and their multi-line points. The detector
 reads those points off the index and takes the first 8-cycle there from
 ``verify.first_cycle``, which meets half-paths to find the least point
 that is the minimum of an 8-cycle and runs the cycle DFS from that
-point alone. The greedy search keeps the index of its members, looks up
-a candidate's q points in it, and only ever inspects the three-step
-alternating walks through the candidate line.
+point alone. The greedy search keeps, as int bitsets over its members,
+the members through each point and the members meeting each member; a
+candidate closes a C4 when one AND of those bitsets per (hit, neighbour)
+pair is nonzero.
 """
 
 from __future__ import annotations
 
 import random
-from typing import IO, Iterable, NamedTuple
+from collections import defaultdict
+from operator import add
+from typing import IO, Callable, Iterable, NamedTuple
 
 from girthforge.errors import SizeLimitError
 from girthforge.gf import Field, field_order, make_field
@@ -75,12 +80,27 @@ def canonical_genline(field: Field, x: Point, d: Point) -> GenLine:
     return GenLine(direction, base)
 
 
-def points_of(field: Field, line: GenLine) -> list[Point]:
-    """The q distinct points base + y*dir of the line, in order of y."""
-    add_rows, mul_rows = field.add_rows, field.mul_rows
-    # Coordinate i of the y-th point is entry y * dir_i of the row of base_i.
-    coords = [map(add_rows[b].__getitem__, mul_rows[d]) for b, d in zip(line.base, line.dir)]
-    return list(zip(*coords))
+def _point_ids(field: Field) -> Callable[[GenLine], list[int]]:
+    """The function giving a line's q point ids, in order of y.
+
+    terms[i][b][d] is the tuple over y of (b + y*d) * q^(3 - i), the part
+    of the id of point base + y*dir that coordinate i contributes when
+    base_i = b and dir_i = d; a point's id is the sum of four such parts.
+    """
+    q = field.q
+    terms = []
+    for i in range(DIM):
+        w = q ** (DIM - 1 - i)
+        # Entry y of mul_rows[d] is y * d, which indexes the scaled row of b.
+        scaled = [[w * v for v in row].__getitem__ for row in field.add_rows]
+        terms.append([[tuple(map(row, by_y)) for by_y in field.mul_rows] for row in scaled])
+    t0, t1, t2, t3 = terms
+
+    def ids(line: GenLine) -> list[int]:
+        (d0, d1, d2, d3), (b0, b1, b2, b3) = line
+        return list(map(add, map(add, t0[b0][d0], t1[b1][d1]), map(add, t2[b2][d2], t3[b3][d3])))
+
+    return ids
 
 
 def genline_count(field: Field) -> int:
@@ -144,10 +164,11 @@ def has_line_c4(field: Field, family: Iterable[GenLine]) -> LineC4Witness | None
     """
     fam = sorted(set(family))
     _check_family_size(len(fam))
-    through: dict[Point, list[int]] = {}
+    ids = _point_ids(field)
+    through: defaultdict[int, list[int]] = defaultdict(list)
     for i, line in enumerate(fam):
-        for pt in points_of(field, line):
-            through.setdefault(pt, []).append(i)
+        for pt in ids(line):
+            through[pt].append(i)
     pts = sorted(pt for pt, idxs in through.items() if len(idxs) > 1)
     # Points in ascending order keep each line's row of point ids sorted.
     rows: list[list[int]] = [[] for _ in fam]
@@ -161,67 +182,94 @@ def has_line_c4(field: Field, family: Iterable[GenLine]) -> LineC4Witness | None
     # Cycle alternates point, line, point, line, ... starting on the
     # point side (point IDs sort below line IDs).
     cyc_lines = tuple(fam[cycle[i] - g.nP] for i in (1, 3, 5, 7))
-    cyc_points = tuple(pts[cycle[i]] for i in (2, 4, 6, 0))
+    # A point id's base-q digits, least significant first, are x_3 .. x_0.
+    cyc_points = tuple(base_q_digits(pts[cycle[i]], field.q, DIM)[::-1] for i in (2, 4, 6, 0))
     return validate_line_c4(field, LineC4Witness(cyc_lines, cyc_points))
 
 
 class C4FreeFamily:
     """Incrementally grown family with no C4 of lines.
 
-    Keeps the members' point-to-lines index and their intersection
-    adjacency, so that a candidate only costs q index lookups plus the
-    three-step alternating walks it would open up.
+    Members are numbered in order of addition, and a set of members is
+    an int with bit i set for member i. For each point id pt,
+    _through[pt] lists the members through pt and _at[pt] is their set;
+    for each member i, _adj[i] lists (member, meeting point id) of the
+    members meeting it and _meets[i] is their set. A candidate costs q
+    index lookups plus one AND per (hit, neighbour) pair.
     """
 
     def __init__(self, field: Field):
+        # The index below holds one list and one int per point: q^4 each.
+        if field.q > GREEDY_Q_CAP:
+            raise SizeLimitError(f"greedy search capped at q <= {GREEDY_Q_CAP}")
         self.field = field
         self.lines: list[GenLine] = []
         self._members: set[GenLine] = set()
-        self._through: dict[Point, list[int]] = {}
-        self._adj: list[list[tuple[int, Point]]] = []
+        self._ids = _point_ids(field)
+        n = field.q**DIM
+        self._through: list[list[int]] = [[] for _ in range(n)]
+        self._at = [0] * n
+        self._adj: list[list[tuple[int, int]]] = []
+        self._meets: list[int] = []
 
-    def _intersections(self, cand: GenLine) -> list[tuple[int, Point]]:
-        """(member index, meeting point) of each member that cand, a
-        non-member, meets."""
+    def _intersections(self, cand: GenLine, pts: list[int]) -> list[tuple[int, int]]:
+        """(member index, meeting point id) of each member that cand, a
+        non-member with point ids pts, meets."""
         through = self._through
-        hits = [
-            (idx, pt)
-            for pt in points_of(self.field, cand)
-            for idx in through.get(pt, ())
-        ]
-        # A member shares at most one point with cand: member order.
-        hits.sort()
-        return hits
+        return [(idx, pt) for pt in pts for idx in through[pt]]
 
-    def _walk_closes_c4(self, hits: list[tuple[int, Point]]) -> bool:
-        by_line = dict(hits)
+    def _closes_c4(self, hits: list[tuple[int, int]], hit: int) -> bool:
+        """Would a line meeting the members as in hits, whose set is hit,
+        close a C4 of lines?
+
+        Such a C4 runs from the line to a hit a at pa, to a neighbour c
+        of a at x != pa, to a hit b at y and back to the line at pb, with
+        b != a and pb, pa, x, y distinct. Two distinct lines share at
+        most one point, so b not through pa means b != a and pb != pa, b
+        not through x means y != x, and when c meets the line at pc, b
+        not through pc means pb != y; y = pa or pb = x would put b
+        through pa or x. So the candidates b for a given (a, c) are
+        meets[c] & hit minus the members through pa, x and pc.
+        """
+        at, meets, adj = self._at, self._meets, self._adj
         for a, pa in hits:
-            for c, x in self._adj[a]:
+            rest = hit & ~at[pa]
+            if not rest:
+                continue
+            for c, x in adj[a]:
                 if x == pa:
                     continue
-                for b, y in self._adj[c]:
-                    if b == a or y == x or y == pa:
-                        continue
-                    pb = by_line.get(b)
-                    if pb is not None and pb not in (pa, x, y):
-                        return True
+                b = meets[c] & rest & ~at[x]
+                # When c is a hit, dict(hits)[c] is its point pc.
+                if b and (not hit >> c & 1 or b & ~at[dict(hits)[c]]):
+                    return True
         return False
 
     def try_add(self, cand: GenLine) -> bool:
         """Add cand if the family stays C4-of-lines-free."""
         if cand in self._members:
             return False
-        hits = self._intersections(cand)
-        if self._walk_closes_c4(hits):
+        pts = self._ids(cand)
+        hits = self._intersections(cand, pts)
+        # A member meets cand in one point at most, so these sets are
+        # disjoint and their sum is their union.
+        hit = sum(map(self._at.__getitem__, pts))
+        if self._closes_c4(hits, hit):
             return False
         new_idx = len(self.lines)
+        bit = 1 << new_idx
         self.lines.append(cand)
         self._members.add(cand)
-        for pt in points_of(self.field, cand):
-            self._through.setdefault(pt, []).append(new_idx)
+        through, at = self._through, self._at
+        for pt in pts:
+            through[pt].append(new_idx)
+            at[pt] |= bit
         self._adj.append(hits)
+        self._meets.append(hit)
+        adj, meets = self._adj, self._meets
         for idx, pt in hits:
-            self._adj[idx].append((new_idx, pt))
+            adj[idx].append((new_idx, pt))
+            meets[idx] |= bit
         return True
 
 
@@ -233,11 +281,9 @@ def greedy_c4free(field: Field, seed: int) -> list[GenLine]:
     maximal: any skipped line would close a C4 against the members
     accepted before it, and members only accumulate.
     """
-    if field.q > GREEDY_Q_CAP:
-        raise SizeLimitError(f"greedy search capped at q <= {GREEDY_Q_CAP}")
+    fam = C4FreeFamily(field)
     order = all_genlines(field)
     random.Random(seed).shuffle(order)
-    fam = C4FreeFamily(field)
     for cand in order:
         fam.try_add(cand)
     return fam.lines

@@ -69,6 +69,8 @@ class Rows:
     def degrees(self) -> Iterator[int]:
         """Each row's length, in order, without slicing the rows."""
         s = self.starts
+        if isinstance(s, range):
+            return repeat(s.step, len(s) - 1)
         return map(operator.sub, islice(s, 1, None), s)
 
 

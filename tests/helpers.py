@@ -224,11 +224,37 @@ def contains(field: Field, line: GenLine, pt: Point) -> bool:
     )
 
 
+def points_of(field: Field, line: GenLine) -> list[Point]:
+    """The q distinct points base + y*dir of the line, in order of y.
+
+    The reference for the point ids of lines4: one add and mul row
+    lookup per coordinate, each point a tuple.
+    """
+    add_rows, mul_rows = field.add_rows, field.mul_rows
+    # Coordinate i of the y-th point is entry y * dir_i of the row of base_i.
+    coords = [map(add_rows[b].__getitem__, mul_rows[d]) for b, d in zip(line.base, line.dir)]
+    return list(zip(*coords))
+
+
+def line_point_id(field: Field, pt: Point) -> int:
+    """The id lines4 gives a point: its coordinates as base-q digits,
+    x_0 the most significant."""
+    v = 0
+    for c in pt:
+        v = v * field.q + c
+    return v
+
+
+def bitset(idxs: Iterable[int]) -> int:
+    return sum(1 << i for i in set(idxs))
+
+
 def blocked(family: C4FreeFamily, cand: GenLine) -> bool:
     """Would adding cand to the family close a C4 of lines?"""
     if cand in family.lines:
         return False
-    return family._walk_closes_c4(family._intersections(cand))
+    hits = family._intersections(cand, family._ids(cand))
+    return family._closes_c4(hits, bitset(idx for idx, _ in hits))
 
 
 # -- pairwise references for the point-to-lines index of lines4 --------------
@@ -281,20 +307,21 @@ def intersect(field: Field, l1: GenLine, l2: GenLine):
     return tuple(field.add(b, field.mul(y1, d)) for b, d in zip(l1.base, l1.dir))
 
 
-def pairwise_intersections(family: C4FreeFamily, cand: GenLine) -> list[tuple[int, Point]]:
-    """C4FreeFamily._intersections by solving intersect against every member."""
+def pairwise_intersections(family: C4FreeFamily, cand: GenLine) -> list[tuple[int, int]]:
+    """C4FreeFamily._intersections, in member order, by solving intersect
+    against every member."""
     out = []
     for idx, member in enumerate(family.lines):
         r = intersect(family.field, cand, member)
         if r is not None and r is not SAME_LINE:
-            out.append((idx, r))
+            out.append((idx, line_point_id(family.field, r)))
     return out
 
 
 class PairwiseFamily(C4FreeFamily):
     """C4FreeFamily whose candidate intersections come from intersect."""
 
-    def _intersections(self, cand: GenLine) -> list[tuple[int, Point]]:
+    def _intersections(self, cand: GenLine, pts: list[int]) -> list[tuple[int, int]]:
         return pairwise_intersections(self, cand)
 
 

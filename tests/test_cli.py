@@ -196,6 +196,7 @@ def test_generate_output_is_pinned(tmp_path, capsys, p, m, k):
     ],
     ids=["verify", "theta"],
 )
+@pytest.mark.usefixtures("fresh_fields")
 def test_field_tables_are_built_once_per_command(monkeypatch, capsys, argv):
     from girthforge import gf
 

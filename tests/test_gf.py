@@ -227,6 +227,7 @@ def test_rows_match_the_arithmetic_sampled(p, m):
     _assert_rows_match(f, pairs, PolyField(p, m, f.modulus) if m > 1 else None)
 
 
+@pytest.mark.usefixtures("fresh_fields")
 def test_rows_are_built_on_first_use(monkeypatch):
     calls = count_field_calls(monkeypatch)
     f = make_field(3, 2)
@@ -237,6 +238,7 @@ def test_rows_are_built_on_first_use(monkeypatch):
     assert calls == {"add": 81, "mul": 81}
 
 
+@pytest.mark.usefixtures("fresh_fields")
 def test_tables_are_built_lazily_once(monkeypatch):
     builds = []
     real = gf._build_tables

@@ -327,6 +327,7 @@ def test_build_p_side_is_the_set_based_transpose(field, k):
 
 
 @pytest.mark.parametrize("p,m,k", [(3, 2, 2), (3, 2, 3), (3, 2, 4), (3, 2, 5), (5, 2, 3)])
+@pytest.mark.usefixtures("fresh_fields")
 def test_build_and_certificate_read_the_field_by_rows(monkeypatch, p, m, k):
     # 2 q^2 calls fill the field's add and mul rows. Each pass of the
     # line blocks, one in build and one in the certificate, makes under
@@ -360,6 +361,7 @@ def test_rows_hold_a_regular_side_as_a_range():
     assert rows.starts == range(0, 7, 2) and list(rows.flat) == [4, 6, 4, 7, 5, 7]
     assert len(rows) == 3 and 7 in rows[1] and list(rows[-1]) == [5, 7]
     assert [list(r) for r in rows] == [[4, 6], [4, 7], [5, 7]]
+    assert list(rows.degrees()) == [2, 2, 2] and list(Rows.of([]).degrees()) == []
     ragged = Rows.of([[1], [], [0, 2]])
     assert list(ragged.starts) == [0, 1, 1, 3] and not isinstance(ragged.starts, range)
     assert list(ragged.degrees()) == [1, 0, 2] and list(ragged[1]) == []

@@ -23,22 +23,24 @@ from girthforge.lines4 import (
     has_line_c4,
     moment_seed,
     parse_family,
-    points_of,
     validate_line_c4,
     write_family,
 )
 from girthforge.verify import count_cycles, first_cycle, iter_cycles
 from helpers import (
     SAME_LINE,
+    bitset,
     blocked,
     brute_force_line_c4,
     contains,
     intersect,
+    line_point_id,
     pairwise_greedy,
     pairwise_hits,
     pairwise_intersections,
     pairwise_line_c4,
     pivot,
+    points_of,
     random_genline,
     record_dfs_roots,
 )
@@ -253,13 +255,46 @@ def _random_c4free(field, rng, tries):
 @pytest.mark.parametrize("field", [F2, F3, F4], ids=repr)
 def test_index_hits_match_pairwise_intersect(field):
     rng = random.Random(field.q)
+    by_id = {line_point_id(field, pt): pt for pt in itertools.product(range(field.q), repeat=4)}
     for _ in range(5):
         fam = _random_c4free(field, rng, 60)
-        multi = {pt: idxs for pt, idxs in fam._through.items() if len(idxs) > 1}
+        multi = {by_id[pid]: idxs for pid, idxs in enumerate(fam._through) if len(idxs) > 1}
         assert multi == pairwise_hits(field, fam.lines)
+        assert fam._at == [bitset(idxs) for idxs in fam._through]
+        meets = [bitset(j for j, _ in pairwise_intersections(fam, line)) for line in fam.lines]
+        assert fam._meets == meets
         for cand in (random_genline(field, rng) for _ in range(20)):
             if cand not in fam.lines:
-                assert fam._intersections(cand) == pairwise_intersections(fam, cand)
+                hits = fam._intersections(cand, fam._ids(cand))
+                assert sorted(hits) == pairwise_intersections(fam, cand)
+
+
+@pytest.mark.parametrize("field", [F2, F3, F4], ids=repr)
+def test_point_ids_list_the_reference_points_in_tuple_order(field):
+    ids = lines4._point_ids(field)
+    q = field.q
+    by_id = {line_point_id(field, pt): pt for pt in itertools.product(range(q), repeat=4)}
+    # product lists the tuples in ascending order.
+    assert list(by_id) == list(range(q**4))
+    for line in all_genlines(field):
+        pids = ids(line)
+        assert [by_id[pid] for pid in pids] == points_of(field, line)
+        assert [by_id[pid] for pid in sorted(pids)] == sorted(points_of(field, line))
+
+
+@pytest.mark.parametrize("field", [F2, F3, F4], ids=repr)
+def test_bitset_test_matches_the_detector_on_random_c4free_families(field):
+    rng = random.Random(3 * field.q)
+    verdicts = []
+    for _ in range(4):
+        fam = _random_c4free(field, rng, 40)
+        assert has_line_c4(field, fam.lines) is None
+        for cand in (random_genline(field, rng) for _ in range(25)):
+            if cand not in fam.lines:
+                closes = has_line_c4(field, fam.lines + [cand]) is not None
+                assert blocked(fam, cand) == closes
+                verdicts.append(closes)
+    assert any(verdicts) and not all(verdicts)
 
 
 @pytest.mark.parametrize("field", [F2, F3, F4, make_field(5)], ids=repr)
