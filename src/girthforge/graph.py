@@ -17,10 +17,10 @@ one counting transpose. Given a text whose header names the moment
 graph's edge count, ``parse`` builds that graph and keeps it if the
 text is its export; any other text it reads row by row and transposes
 the same way.
-The line blocks also certify a graph: one that carries (field, k) is
-the moment graph exactly when both sides are q-regular and its L array
-equals them, block by block. The searches in ``verify`` rest every
-symmetry they use on that one check.
+``build`` marks its graphs as the moment graph (``is_moment_graph``):
+their rows are the algebra's by construction, and the searches in
+``verify`` rest every symmetry they use on that mark. Any other graph,
+however its rows compare with the algebra's, is unmarked.
 
 Edge-list file format ``girthforge-v1``::
 
@@ -42,16 +42,12 @@ from __future__ import annotations
 import operator
 import re
 from array import array
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field as dataclass_field
 from itertools import chain, repeat
 from typing import IO, Iterable, Iterator
 
 from girthforge.gf import Field, make_field
 from girthforge.moment import (
-    EDGE_CAP,
-    K_MAX,
-    K_MIN,
     MomentLine,
     Point,
     check_lines,
@@ -71,6 +67,12 @@ class BiGraph:
     sides mirror each other: build, parse and from_rows each make one
     from the other or both from the same algebra. meta is (field, k)
     for built incidence graphs and None for ad-hoc fixtures.
+
+    is_moment_graph is True only on the graphs build returns, whose rows
+    are the moment graph's by construction. The constructor,
+    dataclasses.replace and from_rows all leave it False, whatever rows
+    they are given, so a hand-made graph is never searched by the moment
+    graph's symmetry. Equality ignores it.
     """
 
     nP: int
@@ -78,44 +80,13 @@ class BiGraph:
     adjP: Rows
     adjL: Rows
     meta: tuple[Field, int] | None = None
+    is_moment_graph: bool = dataclass_field(default=False, init=False, repr=False, compare=False)
 
     def edge_count(self) -> int:
         return len(self.adjP.flat)
 
     def neighbors(self, v: int) -> array:
         return self.adjP[v] if v < self.nP else self.adjL[v - self.nP]
-
-    @cached_property
-    def is_moment_graph(self) -> bool:
-        """True if this is the moment graph of its (field, k) metadata.
-
-        That holds exactly when nP = nL = q^k, both sides are q-regular
-        and the L array equals the one build writes; it is compared one
-        direction at a time, never generated whole. Every symmetry the
-        searches use follows from the construction's algebra:
-        translations x -> x + t map each line to a parallel line and act
-        regularly on P, so on the moment graph P vertex 0 stands for
-        every P vertex. Metadata no moment graph can have, or a size
-        past the edge cap, gives False; the check never raises. The
-        answer is computed once per graph and dies with it.
-        """
-        if self.meta is None:
-            return False
-        field, k = self.meta
-        q = field.q
-        if not (K_MIN <= k <= K_MAX and self.nP == self.nL == q**k and q**(k + 1) <= EDGE_CAP):
-            return False
-        regular = range(0, q ** (k + 1) + 1, q)
-        if self.adjP.starts != regular or self.adjL.starts != regular:
-            return False
-        with memoryview(self.adjL.flat) as mv, mv.cast("B") as view:
-            pos = 0
-            for block in line_blocks(field, k):
-                end = pos + len(block)
-                if view[pos:end].tobytes() != block:
-                    return False
-                pos = end
-        return True
 
 
 @dataclass(frozen=True)
@@ -150,7 +121,9 @@ def build(field: Field, k: int) -> BiGraph:
     starts = range(0, e + 1, q)
     adj_l = Rows(fill(line_blocks(field, k), e), starts)
     adj_p = Rows(fill(point_blocks(field, k), e), starts)
-    return BiGraph(n, n, adj_p, adj_l, (field, k))
+    g = BiGraph(n, n, adj_p, adj_l, (field, k))
+    object.__setattr__(g, "is_moment_graph", True)
+    return g
 
 
 def from_rows(nP: int, adj_l: Iterable[Iterable[int]]) -> BiGraph:
@@ -313,7 +286,8 @@ def parse(text: str) -> BiGraph:
     equal it is the result, with no edge read. Every other text is read
     one P row at a time out of the text itself: each row is stored as
     it is read, sorted and free of duplicates, and the L side is their
-    transpose. The result is not certified here either way.
+    transpose. So the export gives build's own graph, marked as the
+    moment graph, and every other text an unmarked one.
     """
     kv, pos = read_headed_text(
         text, FORMAT_V1, ("p", "m", "k", "nP", "nL", "e"), "e"

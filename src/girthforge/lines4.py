@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import random
 from collections import defaultdict
+from itertools import product
 from operator import add
 from typing import IO, Callable, Iterable, NamedTuple
 
@@ -44,7 +45,8 @@ from girthforge.verify import first_cycle
 
 DIM = 4
 FAMILY_CAP = 1 << 16
-# A family file names a field whose q^4 moment lines fit under this cap.
+# The line searches index every point of GF(q)^4: a field whose q^4
+# points pass this cap is refused, by _point_ids and by a family header.
 LINE_CAP = 1 << 22
 GREEDY_Q_CAP = 8
 FAMILY_FORMAT = "girthforge-lines4"
@@ -80,14 +82,23 @@ def canonical_genline(field: Field, x: Point, d: Point) -> GenLine:
     return GenLine(direction, base)
 
 
+def _check_points(q: int) -> None:
+    """Refuse a field whose q^4 points would pass LINE_CAP."""
+    if q**DIM > LINE_CAP:
+        raise SizeLimitError(f"q^{DIM} = {q**DIM} exceeds line cap {LINE_CAP}")
+
+
 def _point_ids(field: Field) -> Callable[[GenLine], list[int]]:
     """The function giving a line's q point ids, in order of y.
 
     terms[i][b][d] is the tuple over y of (b + y*d) * q^(3 - i), the part
     of the id of point base + y*dir that coordinate i contributes when
     base_i = b and dir_i = d; a point's id is the sum of four such parts.
+    The tables hold 4 q^3 entries, so a field past LINE_CAP is refused
+    before they are made.
     """
     q = field.q
+    _check_points(q)
     terms = []
     for i in range(DIM):
         w = q ** (DIM - 1 - i)
@@ -113,17 +124,18 @@ def genline_count(field: Field) -> int:
 def all_genlines(field: Field) -> list[GenLine]:
     """Every distinct line of GF(q)^4, canonically sorted.
 
-    There are genline_count(field) of them.
+    There are genline_count(field) of them. They are made in order: a
+    later pivot sorts first, and within a pivot the direction tails and
+    then the bases, each with 0 at the pivot, come from product in
+    lexicographic order.
     """
     q = field.q
-    bases = [base_q_digits(bcode, q, DIM - 1) for bcode in range(q ** (DIM - 1))]
     lines = []
-    for piv in range(DIM):
-        free = DIM - piv - 1
-        for dcode in range(q**free):
-            direction = (0,) * piv + (1, *base_q_digits(dcode, q, free))
-            lines += [GenLine(direction, b[:piv] + (0,) + b[piv:]) for b in bases]
-    lines.sort()
+    for piv in reversed(range(DIM)):
+        bases = [b[:piv] + (0,) + b[piv:] for b in product(range(q), repeat=DIM - 1)]
+        for tail in product(range(q), repeat=DIM - 1 - piv):
+            direction = (0,) * piv + (1, *tail)
+            lines += [GenLine(direction, b) for b in bases]
     return lines
 
 
@@ -204,7 +216,6 @@ class C4FreeFamily:
             raise SizeLimitError(f"greedy search capped at q <= {GREEDY_Q_CAP}")
         self.field = field
         self.lines: list[GenLine] = []
-        self._members: set[GenLine] = set()
         self._ids = _point_ids(field)
         n = field.q**DIM
         self._through: list[list[int]] = [[] for _ in range(n)]
@@ -247,20 +258,22 @@ class C4FreeFamily:
 
     def try_add(self, cand: GenLine) -> bool:
         """Add cand if the family stays C4-of-lines-free."""
-        if cand in self._members:
-            return False
         pts = self._ids(cand)
+        at = self._at
+        # Two points fix a line: a member through both of cand's first
+        # two points is cand.
+        if at[pts[0]] & at[pts[1]]:
+            return False
         hits = self._intersections(cand, pts)
-        # A member meets cand in one point at most, so these sets are
-        # disjoint and their sum is their union.
-        hit = sum(map(self._at.__getitem__, pts))
+        # cand is no member, so each member meets it in one point at most:
+        # these sets are disjoint and their sum is their union.
+        hit = sum(map(at.__getitem__, pts))
         if self._closes_c4(hits, hit):
             return False
         new_idx = len(self.lines)
         bit = 1 << new_idx
         self.lines.append(cand)
-        self._members.add(cand)
-        through, at = self._through, self._at
+        through = self._through
         for pt in pts:
             through[pt].append(new_idx)
             at[pt] |= bit
@@ -306,9 +319,7 @@ def parse_family(text: str) -> tuple[int, int, list[GenLine]]:
     kv, start = read_headed_text(text, FAMILY_FORMAT, ("p", "m", "n"), "n")
     # Refused before make_field scans for a modulus of a field no family
     # search could cover.
-    q = field_order(kv["p"], kv["m"])
-    if q**DIM > LINE_CAP:
-        raise SizeLimitError(f"q^{DIM} = {q**DIM} exceeds line cap {LINE_CAP}")
+    _check_points(field_order(kv["p"], kv["m"]))
     field = make_field(kv["p"], kv["m"])
     fam = []
     for ln in text[start:].split("\n")[:-1]:

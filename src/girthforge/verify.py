@@ -19,17 +19,18 @@ made a level at a time, so a graph is freed as soon as its last search
 ends, also when the caller stops an enumeration early.
 
 One rule, ``_flag``, decides which symmetries every search may use.
-When a graph is certified as the moment graph of its metadata (checked
-on the graph once, by ``BiGraph.is_moment_graph``, not assumed from the
-metadata), two families of maps of GF(q)^k carry it onto itself: the
-translations, which act regularly on P, and the shears S_c, which send
-x_i to the sum over j <= i of C(i, j) * c^(i-j) * x_j, fix the origin
-and send direction z to z + c. Together they act transitively on the
-edges (flags). So ``first_cycle`` and the length-4 path maximum start
-from P vertex 0 alone, and the cycle counts take only the cycles
-through the one edge from P vertex 0 to L0, the z=0 line through the
-origin: with c_e such cycles, a graph with E edges has E * c_e / length
-cycles of the length. c_e is a count of closed non-backtracking walks,
+A graph is certified as the moment graph when ``graph.build`` made it
+from the algebra and marked it (``BiGraph.is_moment_graph``); neither
+its metadata nor its rows certify any other graph. Two families of maps
+of GF(q)^k carry a certified graph onto itself: the translations, which
+act regularly on P, and the shears S_c, which send x_i to the sum over
+j <= i of C(i, j) * c^(i-j) * x_j, fix the origin and send direction z
+to z + c. Together they act transitively on the edges (flags). So
+``first_cycle`` and the length-4 path maximum start from P vertex 0
+alone, and the cycle counts take only the cycles through the one edge
+from P vertex 0 to L0, the z=0 line through the origin: with c_e such
+cycles, a graph with E edges has E * c_e / length cycles of the length.
+c_e is a count of closed non-backtracking walks,
 with no on-path bookkeeping: in a graph with no cycle of length up to
 length/2 each such walk runs once around one simple cycle, and the
 walks of the shorter lengths, counted the same way, show that there is
@@ -106,7 +107,7 @@ def _flag(g: BiGraph) -> int | None:
     """L0, the L vertex whose edge to P vertex 0 stands for every edge, or None.
 
     This is the one place the searches decide which symmetries they
-    use, and it decides on the certificate alone. On the moment graph
+    use, and it decides on build's mark alone. On the moment graph
     the translations and shears act transitively on the edges; L0, the
     z=0 line through the origin, has local id 0.
     """

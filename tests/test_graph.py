@@ -329,15 +329,15 @@ def test_build_p_side_is_the_set_based_transpose(field, k):
 @pytest.mark.parametrize("p,m,k", [(3, 2, 2), (3, 2, 3), (3, 2, 4), (3, 2, 5), (5, 2, 3)])
 @pytest.mark.usefixtures("fresh_fields")
 def test_build_and_certificate_read_the_field_by_rows(monkeypatch, p, m, k):
-    # 2 q^2 calls fill the field's add and mul rows. Each pass of the
-    # line blocks, one in build and one in the certificate, makes under
-    # 3k calls per direction, and the point blocks 2 per element. One
-    # call per table entry made over 10^5 calls at GF(25), k=3.
+    # 2 q^2 calls fill the field's add and mul rows. The line and point
+    # blocks then make under 3k calls per direction between them, and
+    # the mark build sets makes none. One call per table entry made over
+    # 10^5 calls at GF(25), k=3.
     calls = count_field_calls(monkeypatch)
     field = make_field(p, m)
     assert build(field, k).is_moment_graph
     q = field.q
-    assert sum(calls.values()) <= 2 * q * q + 6 * k * q
+    assert sum(calls.values()) <= 2 * q * q + 3 * k * q
 
 
 @pytest.mark.parametrize(
@@ -398,7 +398,8 @@ def test_certificate_refuses_each_mutant(field, k):
     changed, swapped, moved = _mutants(field, k)
     e = field.q ** (k + 1)
     assert changed.edge_count() == swapped.edge_count() == moved.edge_count() == e
-    # The first two pass the regularity check and fail on the L array.
+    # The first two are as regular as the moment graph; none is build's,
+    # so none is marked.
     assert changed.adjL.starts == swapped.adjP.starts == range(0, e + 1, field.q)
     assert not isinstance(moved.adjL.starts, range)
     for g in (changed, swapped, moved):

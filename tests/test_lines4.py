@@ -116,6 +116,12 @@ def test_genline_count_matches_all_genlines(p, m):
     assert genline_count(field) == len(all_genlines(field))
 
 
+@pytest.mark.parametrize("p,m", [(2, 1), (3, 1), (2, 2), (5, 1)], ids=repr)
+def test_all_genlines_are_made_in_sorted_order(p, m):
+    lines = all_genlines(make_field(p, m))
+    assert lines == sorted(lines)
+
+
 def test_genline_count_closed_form():
     # The totals conjecture-greedy prints at q=3 and q=8.
     assert genline_count(F3) == 1080
@@ -205,6 +211,14 @@ def test_has_line_c4_family_cap():
     assert len(big) > 1 << 16
     with pytest.raises(SizeLimitError):
         has_line_c4(make_field(7), big)
+
+
+def test_has_line_c4_refuses_a_field_past_the_line_cap():
+    # GF(64)^4 has 2^24 points: the point id tables are refused before
+    # any is made, however small the family.
+    family = [GenLine((1, 0, 0, 0), (0, 0, 0, 0)), GenLine((0, 1, 0, 0), (0, 0, 0, 0))]
+    with pytest.raises(SizeLimitError, match="^q\\^4 = 16777216 exceeds line cap 4194304$"):
+        has_line_c4(make_field(2, 6), family)
 
 
 def test_moment_seed_properties():
@@ -352,6 +366,17 @@ def test_greedy_is_maximal():
     rng = random.Random(5)
     for line in rng.sample(rejected, 10):
         assert has_line_c4(F2, fam + [line]) is not None
+
+
+def test_try_add_refuses_every_member():
+    fam = C4FreeFamily(F3)
+    for line in greedy_c4free(F3, 0):
+        assert fam.try_add(line)
+    members = list(fam.lines)
+    assert len(members) == 84
+    for line in members:
+        assert not fam.try_add(line)
+    assert fam.lines == members
 
 
 def test_greedy_lower_bound_parallel_class():

@@ -9,9 +9,10 @@ x_i -> lam^i * x_i sends z to lam * z, and Frobenius x_i -> x_i^p sends
 z to z^p, and the shear S_c, x_i -> sum over j <= i of
 C(i, j) * c^(i-j) * x_j, sends z to z + c. The searches start from P
 vertex 0 alone, and the cycle counts from the one edge (P vertex 0, L0),
-on any graph that ``BiGraph.is_moment_graph`` certifies; the
-translations and shears checked here, with field operations and without
-the certificate's id tables, are what makes that sound.
+on the graphs ``build`` marks as the moment graph
+(``BiGraph.is_moment_graph``); the translations and shears checked here,
+with field operations and without build's id tables, are what makes
+that sound.
 """
 
 from functools import lru_cache

@@ -5,16 +5,16 @@ import pathlib
 import re
 import sys
 import types
-from functools import cached_property
 
 import pytest
 
-from girthforge import verify
+from girthforge import graph, verify
 from girthforge.errors import SizeLimitError
 from girthforge.gf import make_field
-from girthforge.graph import BiGraph, build, from_rows
+from girthforge.graph import BiGraph, build, from_rows, parse, to_text
 from girthforge.moment import line_through, points_on
 from girthforge.oracle import NAIVE_LEN_CAP, NAIVE_VERTEX_CAP, naive_cycle_count
+from girthforge.rows import Rows
 from girthforge.verify import (
     BIG_CYCLE_VERTEX_CAP,
     construction_report,
@@ -277,6 +277,18 @@ def _full_count(g, length):
     return count, first
 
 
+def _full_max_l4_paths(g):
+    """Maximum length-4 path count and its first pair over every P row."""
+    best, arg = 0, None
+    for p in range(g.nP):
+        counts = l4_path_counts_from(g, p)
+        for p2 in range(p + 1, g.nP):
+            v = counts.get(p2, 0)
+            if arg is None or v > best:
+                best, arg = v, (p, p2)
+    return best, arg
+
+
 @pytest.mark.parametrize(
     "field,k,lengths", ROOTED_CASES, ids=[f"q{f.q}-k{k}" for f, k, _ in ROOTED_CASES]
 )
@@ -315,14 +327,7 @@ def test_rooted_counts_match_naive_oracle():
 def test_rooted_max_l4_paths_matches_full_scan(field):
     g = build(field, 4)
     assert g.is_moment_graph
-    best, arg = 0, None
-    for p in range(g.nP):
-        counts = l4_path_counts_from(g, p)
-        for p2 in range(p + 1, g.nP):
-            v = counts.get(p2, 0)
-            if arg is None or v > best:
-                best, arg = v, (p, p2)
-    assert max_l4_paths(g) == (best, arg)
+    assert max_l4_paths(g) == _full_max_l4_paths(g)
 
 
 def test_translation_check_rejects_doctored_graph():
@@ -494,20 +499,62 @@ def test_rooted_find_c4_matches_full_scan(g, certified):
         assert 0 in rooted
 
 
-def test_construction_report_checks_translations_once(monkeypatch):
-    g = build(F4, 5)
-    calls = []
-    check = BiGraph.is_moment_graph.func
+def test_searches_on_a_built_graph_make_no_line_blocks(monkeypatch):
+    # The mark is build's: no report or search on a built graph makes the
+    # moment lines again, and parse of its export makes them once, in the
+    # build it compares the text with.
+    g = build(F3, 4)
+    text = to_text(g)
+    line_blocks = graph.line_blocks
 
-    def counted(self):
-        calls.append(self)
-        return check(self)
+    def refuse(field, k):
+        raise AssertionError(f"line_blocks({field}, {k}) after build")
 
-    prop = cached_property(counted)
-    prop.__set_name__(BiGraph, "is_moment_graph")
-    monkeypatch.setattr(BiGraph, "is_moment_graph", prop)
+    monkeypatch.setattr(graph, "line_blocks", refuse)
     assert construction_report(g).passed
-    assert len(calls) == 1 and calls[0] is g
+    assert max_l4_paths(g)[0] == 2
+    assert find_c4(g) is None
+    calls = []
+    monkeypatch.setattr(
+        graph, "line_blocks", lambda field, k: calls.append((field, k)) or line_blocks(field, k)
+    )
+    h = parse(text)
+    assert h == g and h.is_moment_graph and calls == [(F3, 4)]
+
+
+SMALL_ROOTED_CASES = [(f, k, lengths) for f, k, lengths in ROOTED_CASES if f.q <= 3]
+
+
+@pytest.mark.parametrize(
+    "field,k,lengths",
+    SMALL_ROOTED_CASES,
+    ids=[f"q{f.q}-k{k}" for f, k, _ in SMALL_ROOTED_CASES],
+)
+def test_copies_of_a_built_graph_are_unmarked_and_agree(field, k, lengths):
+    # Equal rows and metadata do not carry build's mark, so the copies are
+    # searched from every root, and the answers match the rooted ones.
+    g = build(field, k)
+    for h in (BiGraph(g.nP, g.nL, g.adjP, g.adjL, g.meta), dataclasses.replace(g)):
+        assert h == g and g.is_moment_graph and not h.is_moment_graph
+        for length in lengths:
+            assert count_cycles(h, length) == count_cycles(g, length), length
+        assert find_c4(h) == find_c4(g)
+        assert max_l4_paths(h) == max_l4_paths(g)
+
+
+def test_builds_l_rows_do_not_certify_a_hand_made_graph():
+    # build's L rows with one entry of P rows 1 and 2 swapped. Read from
+    # row 0 alone, the path maximum would be the moment graph's 2.
+    g = build(F3, 3)
+    rows = [list(r) for r in g.adjP]
+    l1 = next(l for l in rows[1] if l not in rows[2])
+    l2 = next(l for l in rows[2] if l not in rows[1])
+    rows[1] = sorted({*rows[1], l2} - {l1})
+    rows[2] = sorted({*rows[2], l1} - {l2})
+    h = BiGraph(g.nP, g.nL, Rows.of(rows), g.adjL, g.meta)
+    assert h.adjL == g.adjL and not h.is_moment_graph
+    assert max_l4_paths(h) == _full_max_l4_paths(h) == (3, (1, 14))
+    assert max_l4_paths(g) == (2, (0, 3))
 
 
 FIRST_CYCLE_GRAPHS = list({(f.q, k): (f, k) for f, k, _ in ROOTED_CASES}.values())
