@@ -34,10 +34,9 @@ another in a process share each field's tables and rows.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
-from girthforge.errors import SizeLimitError
+from girthforge.errors import SizeLimitError, refuse_change
 
 # Fields larger than this are outside the intended working range.
 SIZE_CAP = 1 << 20
@@ -168,20 +167,32 @@ def _build_tables(p: int, m: int, modulus: tuple[int, ...]) -> _Tables:
     return exp, log, zech, neg
 
 
-@dataclass(frozen=True)
 class Field:
     """GF(p^m) together with its element arithmetic.
 
     Construct via :func:`make_field`; elements are ints in [0, q).
     Operands outside [0, q) are not checked and give unspecified
     results; callers that take outside input check its range.
-    All operations are pure, so a Field can be shared freely.
+    All operations are pure, so a Field can be shared freely. A Field
+    is a value: fields with equal (p, m, q, modulus) compare and hash
+    equal, and no attribute can be reassigned.
     """
 
-    p: int
-    m: int
-    q: int
-    modulus: tuple[int, ...]
+    def __init__(self, p: int, m: int, q: int, modulus: tuple[int, ...]) -> None:
+        vars(self).update(p=p, m=m, q=q, modulus=modulus)
+
+    __setattr__ = __delattr__ = refuse_change
+
+    def _key(self) -> tuple[int, int, int, tuple[int, ...]]:
+        return self.p, self.m, self.q, self.modulus
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
 
     def __repr__(self) -> str:
         return f"GF({self.q})"

@@ -42,10 +42,10 @@ from __future__ import annotations
 import operator
 import re
 from array import array
-from dataclasses import dataclass, field as dataclass_field
 from itertools import chain, repeat
-from typing import IO, Iterable, Iterator
+from typing import IO, Iterable, Iterator, NamedTuple
 
+from girthforge.errors import refuse_change
 from girthforge.gf import Field, make_field
 from girthforge.moment import (
     MomentLine,
@@ -59,7 +59,6 @@ from girthforge.rows import Rows, fill, transpose
 FORMAT_V1 = "girthforge-v1"
 
 
-@dataclass(frozen=True)
 class BiGraph:
     """Immutable bipartite graph with sorted dual adjacency.
 
@@ -69,18 +68,30 @@ class BiGraph:
     for built incidence graphs and None for ad-hoc fixtures.
 
     is_moment_graph is True only on the graphs build returns, whose rows
-    are the moment graph's by construction. The constructor,
-    dataclasses.replace and from_rows all leave it False, whatever rows
-    they are given, so a hand-made graph is never searched by the moment
-    graph's symmetry. Equality ignores it.
+    are the moment graph's by construction. The constructor and
+    from_rows leave it False, whatever rows they are given, so a
+    hand-made graph is never searched by the moment graph's symmetry.
+    Equality compares nP, nL, adjP, adjL and meta and ignores it. No
+    attribute can be reassigned.
     """
 
-    nP: int
-    nL: int
-    adjP: Rows
-    adjL: Rows
-    meta: tuple[Field, int] | None = None
-    is_moment_graph: bool = dataclass_field(default=False, init=False, repr=False, compare=False)
+    def __init__(
+        self, nP: int, nL: int, adjP: Rows, adjL: Rows, meta: tuple[Field, int] | None = None
+    ) -> None:
+        vars(self).update(nP=nP, nL=nL, adjP=adjP, adjL=adjL, meta=meta, is_moment_graph=False)
+
+    __setattr__ = __delattr__ = refuse_change
+
+    def _key(self) -> tuple:
+        return self.nP, self.nL, self.adjP, self.adjL, self.meta
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __repr__(self) -> str:
+        return "BiGraph(nP={!r}, nL={!r}, adjP={!r}, adjL={!r}, meta={!r})".format(*self._key())
 
     def edge_count(self) -> int:
         return len(self.adjP.flat)
@@ -89,8 +100,7 @@ class BiGraph:
         return self.adjP[v] if v < self.nP else self.adjL[v - self.nP]
 
 
-@dataclass(frozen=True)
-class GraphStats:
+class GraphStats(NamedTuple):
     nP: int
     nL: int
     edges: int
@@ -122,7 +132,7 @@ def build(field: Field, k: int) -> BiGraph:
     adj_l = Rows(fill(line_blocks(field, k), e), starts)
     adj_p = Rows(fill(point_blocks(field, k), e), starts)
     g = BiGraph(n, n, adj_p, adj_l, (field, k))
-    object.__setattr__(g, "is_moment_graph", True)
+    vars(g)["is_moment_graph"] = True
     return g
 
 
@@ -182,19 +192,14 @@ def export(g: BiGraph, sink: IO[str], fmt: str = "v1") -> None:
         sink.write(chunk)
 
 
-def read_headed_text(
-    text: str, magic: str, keys: tuple[str, ...], count_key: str
-) -> tuple[dict[str, int], int]:
-    """Check a text file's header and line structure; return the header
-    values and the offset of the first body line.
+def read_header(text: str, magic: str, keys: tuple[str, ...]) -> tuple[dict[str, int], int]:
+    """Check a text file's header line; return its values and the offset
+    of the first body line.
 
     The first line is the magic word followed by one ``key=int`` token
     for each of keys, spelled as the writers spell it: the keys in the
-    order given, one space before each, plain decimal values. Every line
-    ends in LF, the last one included, no body line may be empty, and
-    the body must hold as many lines as the header's count_key promises.
-    So every text that is read back is the one its parsed value writes.
-    The checks copy no part of the body; callers read it from the offset.
+    order given, one space before each, plain decimal values. The check
+    reads no part of the body; check_body checks its line structure.
     """
     if not text:
         raise ValueError("empty input")
@@ -222,6 +227,15 @@ def read_headed_text(
     spelled = " ".join([magic, *(f"{key}={kv[key]}" for key in keys)])
     if first != spelled:
         raise ValueError(f"header {first!r}: expected {spelled!r}")
+    return kv, start
+
+
+def check_body(text: str, start: int, count_key: str, count: int) -> None:
+    """Check the line structure of a text whose header read_header passed
+    and whose body starts at start: every line ends in LF, the last one
+    included, no body line is empty, and the body holds count lines, the
+    header's value of count_key. So every text that is read back is the
+    one its parsed value writes. The scans copy no part of the body."""
     if not text.endswith("\n"):
         n, last = text.count("\n") + 1, text[text.rfind("\n") + 1 :]
         raise ValueError(f"line {n} {last!r} does not end in a newline")
@@ -230,9 +244,8 @@ def read_headed_text(
         n = text.count("\n", 0, blank + 1) + 1
         raise ValueError(f"line {n} is blank")
     lines = text.count("\n", start)
-    if lines != kv[count_key]:
-        raise ValueError(f"header says {count_key}={kv[count_key]}, body has {lines} lines")
-    return kv, start
+    if lines != count:
+        raise ValueError(f"header says {count_key}={count}, body has {lines} lines")
 
 
 def _fault(text: str, pos: int, nP: int, nL: int, prev: tuple[int, int]) -> ValueError:
@@ -283,24 +296,26 @@ def parse(text: str) -> BiGraph:
     A header with the moment graph's edge count, q^(k+1), names one
     text: the export of build(field, k). That graph is built and its
     export compared with the text one P row at a time; if they are
-    equal it is the result, with no edge read. Every other text is read
-    one P row at a time out of the text itself: each row is stored as
-    it is read, sorted and free of duplicates, and the L side is their
-    transpose. So the export gives build's own graph, marked as the
-    moment graph, and every other text an unmarked one.
+    equal it is the result, with no edge read and no scan of the body,
+    whose line structure is the export's by construction. Every other
+    text has its body checked by check_body and is read one P row at a
+    time out of the text itself: each row is stored as it is read,
+    sorted and free of duplicates, and the L side is their transpose.
+    So the export gives build's own graph, marked as the moment graph,
+    and every other text an unmarked one. A text with faults in both
+    its header values and its body is refused for the header's.
     """
-    kv, pos = read_headed_text(
-        text, FORMAT_V1, ("p", "m", "k", "nP", "nL", "e"), "e"
-    )
-    p, m, k, nP, nL = kv["p"], kv["m"], kv["k"], kv["nP"], kv["nL"]
+    kv, pos = read_header(text, FORMAT_V1, ("p", "m", "k", "nP", "nL", "e"))
+    p, m, k, nP, nL, e = kv["p"], kv["m"], kv["k"], kv["nP"], kv["nL"], kv["e"]
     field = make_field(p, m)
     check_lines(field, k)
     if not nP == nL == field.q**k:
         raise ValueError(f"nP={nP} nL={nL} do not match (p^m)^k for p={p} m={m} k={k}")
-    if kv["e"] == field.q ** (k + 1):
+    if e == field.q ** (k + 1):
         g = _built_if_rendered(field, k, text)
         if g is not None:
             return g
+    check_body(text, pos, "e", e)
     end = nP + nL
     flat, ends = array("i"), array("i", [0])
     # One P row as to_text writes it: lines "<P id> <L id>", plain decimals

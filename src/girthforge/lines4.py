@@ -33,8 +33,8 @@ from operator import add
 from typing import IO, Callable, Iterable, NamedTuple
 
 from girthforge.errors import SizeLimitError
-from girthforge.gf import Field, field_order, make_field
-from girthforge.graph import from_rows, read_headed_text
+from girthforge.gf import Field, field_order
+from girthforge.graph import check_body, from_rows, read_header
 from girthforge.moment import (
     Point,
     base_q_digits,
@@ -66,15 +66,22 @@ class LineC4Witness(NamedTuple):
     points: tuple[Point, Point, Point, Point]
 
 
-def canonical_genline(field: Field, x: Point, d: Point) -> GenLine:
-    """Canonicalize the line through x with direction d."""
+def _pivot(q: int, x: Point, d: Point) -> int:
+    """The index of d's first nonzero coordinate, after checking that x
+    and d are points of GF(q)^4 and d is nonzero."""
     if len(x) != DIM or len(d) != DIM:
         raise ValueError(f"points must have dimension {DIM}")
-    if not all(0 <= c < field.q for c in x + d):
-        raise ValueError(f"coordinate of {x} or {d} lies outside GF({field.q})")
+    if not all(0 <= c < q for c in x + d):
+        raise ValueError(f"coordinate of {x} or {d} lies outside GF({q})")
     piv = next((i for i, di in enumerate(d) if di), None)
     if piv is None:
         raise ValueError("direction must be nonzero")
+    return piv
+
+
+def canonical_genline(field: Field, x: Point, d: Point) -> GenLine:
+    """Canonicalize the line through x with direction d."""
+    piv = _pivot(field.q, x, d)
     scale = field.inv(d[piv])
     direction = tuple(field.mul(scale, di) for di in d)
     y = x[piv]
@@ -315,12 +322,17 @@ def write_family(field: Field, family: Iterable[GenLine], sink: IO[str]) -> None
 
 
 def parse_family(text: str) -> tuple[int, int, list[GenLine]]:
-    """Read a family file back as (p, m, lines); every line must be canonical."""
-    kv, start = read_headed_text(text, FAMILY_FORMAT, ("p", "m", "n"), "n")
-    # Refused before make_field scans for a modulus of a field no family
-    # search could cover.
-    _check_points(field_order(kv["p"], kv["m"]))
-    field = make_field(kv["p"], kv["m"])
+    """Read a family file back as (p, m, lines); every line must be canonical.
+
+    A line is canonical exactly when its direction's pivot is 1 and its
+    base's pivot coordinate is 0, so the check reads the coordinates and
+    does no field arithmetic; the field is never made.
+    """
+    kv, start = read_header(text, FAMILY_FORMAT, ("p", "m", "n"))
+    check_body(text, start, "n", kv["n"])
+    p, m = kv["p"], kv["m"]
+    q = field_order(p, m)
+    _check_points(q)
     fam = []
     for ln in text[start:].split("\n")[:-1]:
         dpart, _, bpart = ln.partition(" base=")
@@ -336,9 +348,10 @@ def parse_family(text: str) -> tuple[int, int, list[GenLine]]:
         if line is None or genline_text(line) != ln:
             raise ValueError(f"line {ln!r}: expected dir=<ints> base=<ints>")
         try:
-            if canonical_genline(field, line.base, line.dir) != line:
+            piv = _pivot(q, line.base, line.dir)
+            if line.dir[piv] != 1 or line.base[piv]:
                 raise ValueError("not in canonical form")
         except ValueError as exc:
             raise ValueError(f"line {ln!r}: {exc}") from None
         fam.append(line)
-    return field.p, field.m, fam
+    return p, m, fam

@@ -42,8 +42,7 @@ oracle for the walks.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from girthforge.errors import SizeLimitError
 from girthforge.gf import Field
@@ -63,16 +62,14 @@ BIG_CYCLE_VERTEX_CAP = 8192
 FLAG_WALK_CAP = 1 << 23
 
 
-@dataclass(frozen=True)
-class ClaimResult:
+class ClaimResult(NamedTuple):
     name: str
     passed: bool
     witness: CycleWitness | None = None
     detail: str = ""
 
 
-@dataclass(frozen=True)
-class VerifyReport:
+class VerifyReport(NamedTuple):
     claims: tuple[ClaimResult, ...]
 
     @property

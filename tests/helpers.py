@@ -12,7 +12,7 @@ from typing import Iterable, Iterator
 import girthforge
 from girthforge import verify
 from girthforge.gf import Field, _pdivmod, _ptrim, make_field
-from girthforge.graph import FORMAT_V1, BiGraph, point_id, read_headed_text
+from girthforge.graph import FORMAT_V1, BiGraph, check_body, point_id, read_header
 from girthforge.lines4 import (
     DIM,
     C4FreeFamily,
@@ -483,16 +483,16 @@ def edges(g: BiGraph) -> Iterator[tuple[int, int]]:
 def set_parse(text: str) -> BiGraph:
     """The reference for graph.parse: split the body into lines, validate
     every edge into a pairs list, then let from_edges collect each
-    vertex's neighbours in a set and sort them. Same header checks, same
-    spelling rule for edge lines, same messages."""
-    kv, start = read_headed_text(
-        text, FORMAT_V1, ("p", "m", "k", "nP", "nL", "e"), "e"
-    )
+    vertex's neighbours in a set and sort them. Same header checks, then
+    the same body checks on every text, same spelling rule for edge
+    lines, same messages."""
+    kv, start = read_header(text, FORMAT_V1, ("p", "m", "k", "nP", "nL", "e"))
     p, m, k, nP, nL = kv["p"], kv["m"], kv["k"], kv["nP"], kv["nL"]
     field = make_field(p, m)
     check_lines(field, k)
     if not nP == nL == field.q**k:
         raise ValueError(f"nP={nP} nL={nL} do not match (p^m)^k for p={p} m={m} k={k}")
+    check_body(text, start, "e", kv["e"])
     end = nP + nL
     pairs = []
     for ln in text[start:].split("\n")[:-1]:

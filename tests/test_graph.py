@@ -1,4 +1,3 @@
-import dataclasses
 import io
 import itertools
 import random
@@ -9,6 +8,7 @@ from array import array
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from girthforge import graph
 from girthforge.errors import SizeLimitError
 from girthforge.gf import make_field
 from girthforge.graph import (
@@ -182,7 +182,7 @@ def test_export_streams_the_bytes_of_to_text(name, fmt):
     g = WRITER_GRAPHS[name]
     if g.meta is None:
         # The writer copies the metadata into the header unchecked.
-        g = dataclasses.replace(g, meta=(F2, 2))
+        g = BiGraph(g.nP, g.nL, g.adjP, g.adjL, (F2, 2))
     sink = io.StringIO()
     export(g, sink, fmt)
     assert sink.getvalue() == to_text(g, fmt) == _reference_text(g, fmt)
@@ -389,7 +389,7 @@ def _mutants(field, k):
     p = moved[0].pop()
     moved[1] = sorted({*moved[1], p})
     mutants = (from_rows(n, r) for r in (swapped, moved))
-    return [changed, *(dataclasses.replace(h, meta=g.meta) for h in mutants)]
+    return [changed, *(BiGraph(h.nP, h.nL, h.adjP, h.adjL, g.meta) for h in mutants)]
 
 
 @pytest.mark.parametrize("field,k", [(F2, 2), (F3, 3), (F4, 3), (F5, 4)], ids=repr)
@@ -404,6 +404,45 @@ def test_certificate_refuses_each_mutant(field, k):
     assert not isinstance(moved.adjL.starts, range)
     for g in (changed, swapped, moved):
         assert g.is_moment_graph is False
+
+
+def test_a_field_made_again_after_eviction_is_an_equal_value(fresh_fields):
+    old = make_field(3, 2)
+    for p in (2, 5, 7, 11):  # make_field keeps the four fields it made last
+        make_field(p)
+    new = make_field(3, 2)
+    assert new is not old
+    assert new == old and hash(new) == hash(old) and new in {old}
+    assert new != make_field(3) and new != (old.p, old.m, old.q, old.modulus)
+    assert build(old, 3) == build(new, 3)
+
+
+def test_fields_and_graphs_cannot_be_changed():
+    f = make_field(2, 2)
+    f.add_rows  # a table made on first use is as fixed as the rest
+    cases = [
+        (f, ("p", "m", "q", "modulus", "add_rows", "mul_rows", "new")),
+        (build(f, 2), ("nP", "nL", "adjP", "adjL", "meta", "is_moment_graph", "new")),
+    ]
+    for obj, names in cases:
+        for name in names:
+            before = getattr(obj, name, None)
+            with pytest.raises(AttributeError, match="cannot be changed"):
+                setattr(obj, name, None)
+            with pytest.raises(AttributeError, match="cannot be changed"):
+                delattr(obj, name)
+            assert getattr(obj, name, None) is before
+
+
+def test_graph_equality_ignores_the_moment_graph_mark():
+    g = build(F3, 2)
+    h = BiGraph(g.nP, g.nL, g.adjP, g.adjL, g.meta)
+    assert g.is_moment_graph and not h.is_moment_graph
+    assert g == h and h == g and not g != h
+    assert h == BiGraph(nP=g.nP, nL=g.nL, adjP=g.adjP, adjL=g.adjL, meta=(make_field(3), 2))
+    assert g != BiGraph(g.nP, g.nL, g.adjP, g.adjL)
+    assert g != BiGraph(g.nP, g.nL, g.adjP, g.adjP, g.meta)
+    assert g != (g.nP, g.nL, g.adjP, g.adjL, g.meta)
 
 
 @pytest.mark.parametrize("seed", range(100))
@@ -515,6 +554,27 @@ def test_parse_reads_texts_off_the_moment_graph_by_the_row_scan(field, k):
         off, edge, moved_to = _off_moment(text, field, k, kind, where)
         g = parse(off)
         assert g == _one_edge_off(built, edge, moved_to) and not g.is_moment_graph
+
+
+def test_parse_scans_the_body_only_off_the_export(monkeypatch):
+    # The export's line count, line ends and non-empty lines hold by
+    # construction, so parse reads it back with no whole-body scan; every
+    # other text is scanned before its rows are read.
+    scanned = []
+    real = graph.check_body
+
+    def recorded(text, start, count_key, count):
+        scanned.append((start, count_key, count))
+        real(text, start, count_key, count)
+
+    monkeypatch.setattr(graph, "check_body", recorded)
+    text = to_text(build(F3, 3))
+    assert parse(text).is_moment_graph and scanned == []
+    start = text.index("\n") + 1
+    for kind, e in (("edit", 81), ("drop", 80)):
+        off = _off_moment(text, F3, 3, kind, "middle")[0]
+        assert not parse(off).is_moment_graph and scanned[-1] == (start, "e", e)
+    assert len(scanned) == 2
 
 
 class _Transposed(Exception):

@@ -572,6 +572,58 @@ def test_parse_family_fuzz_round_trips_or_raises(text):
     assert sink.getvalue() == text
 
 
+def _family_verdict(field, line):
+    """True if parse_family reads the one-line family of line back, else
+    its error message."""
+    text = f"girthforge-lines4 p={field.p} m={field.m} n=1\n{genline_text(line)}\n"
+    try:
+        return parse_family(text)[2] == [line]
+    except ValueError as exc:
+        return str(exc)
+
+
+def _canonical_verdict(field, line):
+    """The same verdict from canonical_genline: True if it maps the line
+    to itself, else the message parse_family gives for the line."""
+    try:
+        if canonical_genline(field, line.base, line.dir) == line:
+            return True
+        reason = "not in canonical form"
+    except ValueError as exc:
+        reason = str(exc)
+    return f"line {genline_text(line)!r}: {reason}"
+
+
+@pytest.mark.parametrize("field", [F2, F3, F4], ids=repr)
+def test_parse_family_pivot_rule_agrees_with_canonical_genline(field):
+    # parse_family accepts a line when its direction's pivot is 1 and its
+    # base's pivot coordinate 0, with no field arithmetic. Over GF(2) and
+    # GF(3) every (dir, base) pair is tried, over GF(4) a sample with its
+    # canonical forms; both give the same verdict and the same message.
+    q = field.q
+    points = list(itertools.product(range(q), repeat=4))
+    if q < 4:
+        lines = [GenLine(d, x) for d in points for x in points]
+    else:
+        rng = random.Random(4)
+        lines = [GenLine(rng.choice(points), rng.choice(points)) for _ in range(1500)]
+        lines += [canonical_genline(field, x, d) for d, x in lines if any(d)]
+    lines += [
+        GenLine((1, 0, 0, q), (0, 0, 0, 0)),
+        GenLine((1, 0, 0, 0), (0, -1, 0, 0)),
+        GenLine((1, 0, 0), (0, 0, 0)),
+        GenLine((0, 1, 0, 0, 0), (0, 0, 0, 0, 0)),
+    ]
+    accepted = 0
+    for line in lines:
+        verdict = _family_verdict(field, line)
+        assert verdict == _canonical_verdict(field, line), line
+        accepted += verdict is True
+    # Each canonical line once over the small fields; the sample's
+    # canonical forms over GF(4).
+    assert accepted == genline_count(field) if q < 4 else accepted > 1000
+
+
 @pytest.mark.parametrize("field", [F2, F3, F4], ids=repr)
 def test_first_cycle_matches_the_enumeration_on_line_incidence_graphs(field, monkeypatch):
     graphs = []
