@@ -13,10 +13,11 @@ cycle of the length, found as two half-paths over higher ids that meet
 at one end vertex and share no other, and runs the DFS from it alone.
 ``find_c4`` is ``first_cycle(g, 4)``. Every search reads adjacency only
 through ``g.neighbors``, so the row layout is known to ``graph`` alone.
-No search puts its graph in a reference cycle: the DFS recurses through
-the module-level generator ``_closed_paths``, and the half-paths are
-made a level at a time, so a graph is freed as soon as its last search
-ends, also when the caller stops an enumeration early.
+Every simple path comes from one generator, ``_simple_paths``, which
+makes the paths a level at a time, each level a generator over the one
+before, and so yields them in DFS order. No search puts its graph in a
+reference cycle, so a graph is freed as soon as its last search ends,
+also when the caller stops an enumeration early.
 
 One rule, ``_flag``, decides which symmetries every search may use.
 A graph is certified as the moment graph when ``graph.build`` made it
@@ -34,8 +35,9 @@ c_e is a count of closed non-backtracking walks,
 with no on-path bookkeeping: in a graph with no cycle of length up to
 length/2 each such walk runs once around one simple cycle, and the
 walks of the shorter lengths, counted the same way, show that there is
-none. A certified graph with a shorter cycle, and any other graph, is
-searched from every P vertex by the canonical DFS, which stays the
+none. On a certified graph with a shorter cycle c_e is the number of
+simple paths on from the flag that close at P vertex 0. Any other graph
+is searched from every P vertex by the canonical DFS, which stays the
 oracle for the walks.
 """
 
@@ -52,12 +54,13 @@ CycleWitness = tuple[int, ...]
 
 MAX_CYCLE_LEN = 12
 # Lengths 10 and 12 from every P vertex are searched on at most this many
-# vertices. Through the flag of a certified moment graph a count of length
-# L costs about q^(L/2) walk steps; the walk cap admits C10 up to q = 23
-# and C12 up to q = 13, and the largest count it admits at each length
-# takes 3-8 s (C6 at q = 199, C8 at q = 53, C10 at q = 23, C12 at q = 13).
-# The same cap bounds the paths of the DFS a certified graph with a shorter
-# cycle falls back to: C12 on a k = 2 graph up to q = 4.
+# vertices. A certified moment graph is searched from P vertex 0 alone,
+# and a search of length L there costs about q^(L/2) walk steps; the walk
+# cap admits C10 up to q = 23 and C12 up to q = 13, and the largest count
+# it admits at each length takes 3-8 s (C6 at q = 199, C8 at q = 53, C10
+# at q = 23, C12 at q = 13). The same cap bounds the (q-1)^(L-2) simple
+# paths on from the flag that count a certified graph with a shorter
+# cycle: C12 on a k = 2 graph up to q = 5.
 BIG_CYCLE_VERTEX_CAP = 8192
 FLAG_WALK_CAP = 1 << 23
 
@@ -111,13 +114,25 @@ def _flag(g: BiGraph) -> int | None:
     return g.nP if g.is_moment_graph else None
 
 
-def _roots(g: BiGraph) -> range:
-    """The P vertices a search starts from.
+def _roots(g: BiGraph, length: int) -> range:
+    """The P vertices a search of an even length starts from, once the
+    length and the search's size are checked.
 
     Translations act regularly on P, so on the moment graph every P
-    vertex looks like P vertex 0 and 0 alone is searched.
+    vertex looks like P vertex 0 and 0 alone is searched, refused when
+    its q^(length/2) walk steps exceed FLAG_WALK_CAP. Any other graph is
+    searched from every P vertex, under the vertex cap.
     """
-    return range(g.nP if _flag(g) is None else 1)
+    if _flag(g) is None:
+        _check_all_roots(g, length)
+        return range(g.nP)
+    _check_cycle_length(length)
+    steps = len(g.neighbors(0)) ** (length // 2)
+    if steps > FLAG_WALK_CAP:
+        raise SizeLimitError(
+            f"{steps} walk steps exceeds cap {FLAG_WALK_CAP} for length {length}"
+        )
+    return range(1)
 
 
 def _check_cycle_length(length: int) -> None:
@@ -125,43 +140,34 @@ def _check_cycle_length(length: int) -> None:
         raise ValueError(f"cycle length must be even in [4, {MAX_CYCLE_LEN}]")
 
 
+def _simple_paths(
+    nbrs: Callable[[int], Sequence[int]], start: tuple[int, ...], steps: int
+) -> Iterable[tuple[int, ...]]:
+    """The simple paths that continue start by steps more vertices, all
+    with ids above start[0], in lexicographic order, which is the DFS
+    order. Each level is a generator over the one before, so no level is
+    held whole."""
+    root = start[0]
+    paths: Iterable[tuple[int, ...]] = (start,)
+    for _ in range(steps):
+        paths = (p + (w,) for p in paths for w in nbrs(p[-1]) if w > root and w not in p)
+    return paths
+
+
 def _cycles_from(g: BiGraph, length: int, roots: range) -> Iterator[CycleWitness]:
-    """Canonical cycles of an even, checked length whose minimum vertex is in roots."""
+    """Canonical cycles of an even, checked length whose minimum vertex is in roots.
+
+    Each is a path of length - 1 steps from its root that closes at a
+    neighbour of the root, in the direction with path[1] < path[-1].
+    """
     nbrs = g.neighbors
-    path = [0] * length
-    on_path = [False] * (g.nP + g.nL)
     for root in roots:
         if len(nbrs(root)) < 2:
             continue
-        path[0] = root
-        on_path[root] = True
-        for w in _closed_paths(nbrs, set(nbrs(root)), path, on_path, 1):
-            yield validate_cycle(g, w)
-        on_path[root] = False
-
-
-def _closed_paths(
-    nbrs: Callable[[int], Sequence[int]],
-    closing: set[int],
-    path: list[int],
-    on_path: list[bool],
-    depth: int,
-) -> Iterator[CycleWitness]:
-    """Fill path[depth:] depth first with simple paths over ids above
-    path[0], the vertices in path[:depth] marked in on_path, and yield as
-    a tuple each path that ends in closing, path[0]'s neighbours, and has
-    path[1] < path[-1]."""
-    root = path[0]
-    if depth == len(path):
-        if path[-1] in closing and path[1] < path[-1]:
-            yield tuple(path)
-        return
-    for w in nbrs(path[depth - 1]):
-        if w > root and not on_path[w]:
-            on_path[w] = True
-            path[depth] = w
-            yield from _closed_paths(nbrs, closing, path, on_path, depth + 1)
-            on_path[w] = False
+        closing = set(nbrs(root))
+        for path in _simple_paths(nbrs, (root,), length - 1):
+            if path[-1] in closing and path[1] < path[-1]:
+                yield validate_cycle(g, path)
 
 
 def _flag_walks(g: BiGraph, length: int, l0: int) -> int:
@@ -222,25 +228,29 @@ def _roots_a_cycle(g: BiGraph, length: int, root: int) -> bool:
 
     Such a cycle is two simple half-paths of length/2 steps from root,
     over ids above root, that end at the same vertex and share no other.
-    The half-paths are made a level at a time, as tuples from root, each
-    level a generator over the one before, so no level is held whole, and
-    each is filed under every end it can take. An end that already holds
-    one disjoint from it shows a cycle, in whatever order they come, and
-    the search stops there.
+    Each half-path, less its last step, comes from _simple_paths and is
+    filed under every end it can take. They come grouped by their first
+    step, which the half-paths of one group share, so each is compared
+    only with those filed from the groups before: one disjoint from it at
+    the same end shows a cycle, and the search stops there.
     """
     nbrs = g.neighbors
-    halves: Iterable[tuple[int, ...]] = [(root,)]
-    for _ in range(length // 2 - 1):
-        halves = (h + (w,) for h in halves for w in nbrs(h[-1]) if w > root and w not in h)
     at_end: dict[int, list[frozenset[int]]] = {}
-    for h in halves:
+    group: dict[int, list[frozenset[int]]] = {}
+    first = root
+    for h in _simple_paths(nbrs, (root,), length // 2 - 1):
+        if h[1] != first:
+            first = h[1]
+            for w, mids in group.items():
+                at_end.setdefault(w, []).extend(mids)
+            group = {}
         mid = frozenset(h[1:])
         for w in nbrs(h[-1]):
             if w > root and w not in mid:
-                filed = at_end.setdefault(w, [])
-                if any(mid.isdisjoint(f) for f in filed):
+                filed = at_end.get(w)
+                if filed and any(mid.isdisjoint(f) for f in filed):
                     return True
-                filed.append(mid)
+                group.setdefault(w, []).append(mid)
     return False
 
 
@@ -250,15 +260,14 @@ def first_cycle(g: BiGraph, length: int) -> CycleWitness | None:
     The enumeration visits roots in ascending order, so its first cycle
     is the canonical DFS's first from the least P vertex that roots a
     cycle of the length. That root is found by meeting half-paths, and
-    the DFS runs from it alone. The candidate roots are _roots(g): on the
-    moment graph P vertex 0 alone, since a translation carries any cycle
-    onto one through vertex 0, the smallest id; on any other graph every
-    P vertex.
+    the DFS runs from it alone. The candidate roots are _roots(g, length),
+    under its size check: on the moment graph P vertex 0 alone, since a
+    translation carries any cycle onto one through vertex 0, the smallest
+    id; on any other graph every P vertex.
     """
     if length % 2:
         return None
-    _check_all_roots(g, length)
-    for root in _roots(g):
+    for root in _roots(g, length):
         if _roots_a_cycle(g, length, root):
             w = next(_cycles_from(g, length, range(root, root + 1)), None)
             if w is None:
@@ -277,54 +286,50 @@ def find_c4(g: BiGraph) -> CycleWitness | None:
 def count_cycles(g: BiGraph, length: int) -> tuple[int, CycleWitness | None]:
     """Exact count of simple cycles of the given length plus a witness.
 
-    On the moment graph every edge lies on the same number c_e of cycles
-    and each cycle has length edges, so the total is E * c_e / length, E
-    the edge count; a remainder raises RuntimeError. c_e is the walk count
-    through the flag (P vertex 0, L0), used only when that count is 0 for
+    A graph other than the moment graph is enumerated from every P
+    vertex, under the vertex cap for lengths 10 and 12. On the moment
+    graph every edge lies on the same number c_e of cycles and each cycle
+    has length edges, so the total is E * c_e / length, E the edge count;
+    a remainder raises RuntimeError. A count whose q^(length/2) walk steps
+    exceed FLAG_WALK_CAP is refused before any walk runs. c_e is the walk
+    count through the flag (P vertex 0, L0) when that count is 0 for
     every even length from 4 to length/2: a shortest cycle passes through
     the flag, so the graph then has no cycle that short, and each walk is
-    a simple cycle. A count whose q^(length/2) walk steps exceed
-    FLAG_WALK_CAP is refused before any walk runs. The witness is the
-    first cycle of the canonical DFS from P vertex 0, which is the first
-    of the full enumeration because vertex 0 has the smallest id; that DFS
-    runs only when the count is nonzero. Any other graph, and a certified
-    one with a shorter cycle, is enumerated from every P vertex, under the
-    vertex cap for lengths 10 and 12. On a certified graph that DFS
-    explores at most nP * q * (q-1)^(length-2) paths, and is refused when
-    that exceeds FLAG_WALK_CAP.
+    a simple cycle. Otherwise c_e is the number of simple paths of
+    length - 2 steps on from the flag that end at a neighbour of P vertex
+    0, refused before any path is made when (q-1)^(length-2) exceeds
+    FLAG_WALK_CAP. The witness is first_cycle(g, length), looked for only
+    when the count is nonzero.
     """
     if length % 2:
         return 0, None
-    _check_cycle_length(length)
+    roots = _roots(g, length)
     l0 = _flag(g)
-    if l0 is not None:
-        q = len(g.neighbors(0))
-        steps = q ** (length // 2)
-        if steps > FLAG_WALK_CAP:
-            raise SizeLimitError(
-                f"{steps} walk steps exceeds cap {FLAG_WALK_CAP} for length {length}"
-            )
-        if not any(_flag_walks(g, m, l0) for m in range(4, length // 2 + 1, 2)):
-            c_e = _flag_walks(g, length, l0)
-            edges = g.edge_count()
-            total, rem = divmod(edges * c_e, length)
-            if rem:
-                raise RuntimeError(
-                    f"{edges} * {c_e} cycles through one edge is not a multiple of {length}"
-                )
-            return total, next(_cycles_from(g, length, range(1))) if total else None
-        paths = g.nP * q * (q - 1) ** (length - 2)
+    if l0 is None:
+        count = 0
+        first: CycleWitness | None = None
+        for w in _cycles_from(g, length, roots):
+            count += 1
+            if first is None:
+                first = w
+        return count, first
+    if any(_flag_walks(g, m, l0) for m in range(4, length // 2 + 1, 2)):
+        paths = (len(g.neighbors(0)) - 1) ** (length - 2)
         if paths > FLAG_WALK_CAP:
             raise SizeLimitError(
                 f"{paths} DFS paths exceeds cap {FLAG_WALK_CAP} for length {length}"
             )
-    count = 0
-    first: CycleWitness | None = None
-    for w in iter_cycles(g, length):
-        count += 1
-        if first is None:
-            first = w
-    return count, first
+        closing = set(g.neighbors(0))
+        c_e = sum(p[-1] in closing for p in _simple_paths(g.neighbors, (0, l0), length - 2))
+    else:
+        c_e = _flag_walks(g, length, l0)
+    edges = g.edge_count()
+    total, rem = divmod(edges * c_e, length)
+    if rem:
+        raise RuntimeError(
+            f"{edges} * {c_e} cycles through one edge is not a multiple of {length}"
+        )
+    return total, first_cycle(g, length) if total else None
 
 
 def l4_path_counts_from(g: BiGraph, p: int) -> Counter[int]:
@@ -354,7 +359,7 @@ def max_l4_paths(g: BiGraph) -> tuple[int, tuple[int, int] | None]:
     """
     best = 0
     arg: tuple[int, int] | None = None
-    for p in _roots(g):
+    for p in _roots(g, 4):
         counts = l4_path_counts_from(g, p)
         for p2 in range(p + 1, g.nP):
             v = counts.get(p2, 0)

@@ -530,6 +530,23 @@ def vertex_rooted_count(g: BiGraph, length: int) -> int:
     return total
 
 
+def brute_force_simple_paths(
+    g: BiGraph, start: tuple[int, ...], steps: int
+) -> list[tuple[int, ...]]:
+    """Every sequence of distinct vertices with ids above start[0] that
+    continues start by steps edges, sorted. Each next vertex is tried
+    from every id and kept when the adjacency rows hold the edge."""
+    paths = [start]
+    for _ in range(steps):
+        paths = [
+            p + (w,)
+            for p in paths
+            for w in range(start[0] + 1, g.nP + g.nL)
+            if w not in p and w in g.neighbors(p[-1])
+        ]
+    return sorted(paths)
+
+
 def witness_directions(g: BiGraph, w: CycleWitness) -> list[int]:
     """Direction parameters of the witness's lines, in cycle order."""
     if g.meta is None:

@@ -27,6 +27,7 @@ from girthforge.verify import (
     verify_construction,
 )
 from helpers import (
+    brute_force_simple_paths,
     cycle_fixture,
     edges,
     from_edges,
@@ -412,6 +413,13 @@ def test_flag_count_reaches_past_the_all_roots_cap():
         next(iter_cycles(g, 10))
     with pytest.raises(SizeLimitError, match="exceeds cap 8192 for length >= 10"):
         count_cycles(BiGraph(g.nP, g.nL, g.adjP, g.adjL), 10)
+    # first_cycle searches the certified graph from P vertex 0 alone, so
+    # the vertex cap does not refuse it either.
+    for length in (10, 12):
+        w = first_cycle(g, length)
+        assert w == next(verify._cycles_from(g, length, range(1)), None)
+        assert w == count_cycles(g, length)[1]
+    assert first_cycle(g, 10) is None
 
 
 def test_flag_walk_cap(monkeypatch):
@@ -429,22 +437,54 @@ def test_flag_walk_cap(monkeypatch):
         count_cycles(g, 10)
 
 
+def test_first_cycle_on_a_certified_graph_is_refused_past_the_walk_cap(monkeypatch):
+    # 7 442 vertices, under the vertex cap, but 61^5 walk steps from P
+    # vertex 0: first_cycle and count_cycles admit the same (q, length).
+    g = build(make_field(61), 2)
+    assert g.nP + g.nL <= BIG_CYCLE_VERTEX_CAP
+    monkeypatch.setattr(verify, "_roots_a_cycle", None)
+    monkeypatch.setattr(verify, "_flag_walks", None)
+    message = f"^844596301 walk steps exceeds cap {verify.FLAG_WALK_CAP} for length 10$"
+    for search in (first_cycle, count_cycles):
+        with pytest.raises(SizeLimitError, match=message):
+            search(g, 10)
+
+
 def test_dfs_fallback_on_a_certified_graph_is_capped(monkeypatch):
-    # Girth 6 sends C12 on a certified k = 2 graph to the DFS from every
-    # P vertex, which explores at most nP * q * (q-1)^10 paths.
-    g = build(F4, 2)
-    paths = 16 * 4 * 3**10
-    assert paths <= verify.FLAG_WALK_CAP
-    count = count_cycles(g, 12)
-    assert count == _full_count(g, 12) and count[0] == 31_392
-    # Past the cap the count is refused before any DFS runs.
-    monkeypatch.setattr(verify, "_cycles_from", None)
-    message = f"^131072000 DFS paths exceeds cap {verify.FLAG_WALK_CAP} for length 12$"
+    # Girth 6 sends C12 on a certified k = 2 graph to the simple paths of
+    # 10 steps on from the flag, at most (q-1)^10 of them. count_cycles on
+    # an unmarked copy of the GF(5) graph, which enumerates from every P
+    # vertex, gives the same count and witness in about 20 s.
+    assert 4**10 <= verify.FLAG_WALK_CAP
+    c12 = (1_088_500, (0, 25, 1, 34, 7, 26, 5, 31, 4, 37, 18, 30))
+    assert count_cycles(build(F5, 2), 12) == c12
+    # Past the cap the count is refused before any path is made.
+    monkeypatch.setattr(verify, "_simple_paths", None)
+    message = f"^60466176 DFS paths exceeds cap {verify.FLAG_WALK_CAP} for length 12$"
     with pytest.raises(SizeLimitError, match=message):
-        count_cycles(build(F5, 2), 12)
+        count_cycles(build(F7, 2), 12)
+    paths = 3**10
     monkeypatch.setattr(verify, "FLAG_WALK_CAP", paths - 1)
     with pytest.raises(SizeLimitError, match=f"^{paths} DFS paths exceeds cap {paths - 1} "):
-        count_cycles(g, 12)
+        count_cycles(build(F4, 2), 12)
+
+
+@pytest.mark.parametrize("field", (F3, F4), ids=("q3", "q4"))
+def test_c12_through_the_flag_matches_every_root_at_girth_6(field, monkeypatch):
+    g = build(field, 2)
+    starts = []
+    simple_paths = verify._simple_paths
+
+    def spy(nbrs, start, steps):
+        starts.append(start)
+        return simple_paths(nbrs, start, steps)
+
+    monkeypatch.setattr(verify, "_simple_paths", spy)
+    count = count_cycles(g, 12)
+    assert {s[0] for s in starts} == {0}
+    starts.clear()
+    assert count == count_cycles(BiGraph(g.nP, g.nL, g.adjP, g.adjL, g.meta), 12)
+    assert {s[0] for s in starts} == set(range(g.nP))
 
 
 def test_translation_check_counts_repeated_rows():
@@ -609,6 +649,14 @@ def test_half_paths_agree_with_the_dfs_at_every_root():
                 assert found == (rooted is not None), (g, length, r)
                 outcomes.add(found)
     assert outcomes == {False, True}
+
+
+def test_simple_paths_match_brute_force():
+    for g in [build(F3, 2)] + [random_bipartite(seed) for seed in range(30)]:
+        for root in range(g.nP + g.nL):
+            for steps in range(1, 12):
+                paths = list(verify._simple_paths(g.neighbors, (root,), steps))
+                assert paths == brute_force_simple_paths(g, (root,), steps), (g, root, steps)
 
 
 def test_first_cycle_refuses_long_lengths_past_the_vertex_cap():
