@@ -34,7 +34,10 @@ decimals (no sign, underscore or leading zero) one space apart, and
 every line ends in LF, the last one included. Neither direction holds
 the body twice: ``export`` writes one P row at a time to its sink, and
 ``parse`` compares or reads one P row at a time out of the text it is
-given.
+given. A P row's text is one ``str.join`` with its P id as the
+separator over its L vertices' line suffixes, and the rows come from
+one iterator pipeline over the flat P side, so the render runs no
+Python code per row or per edge.
 """
 
 from __future__ import annotations
@@ -42,7 +45,7 @@ from __future__ import annotations
 import operator
 import re
 from array import array
-from itertools import chain, repeat
+from itertools import chain, islice, repeat
 from typing import IO, Iterable, Iterator, NamedTuple
 
 from girthforge.errors import refuse_change
@@ -157,9 +160,18 @@ def stats(g: BiGraph) -> GraphStats:
 
 
 def _render(g: BiGraph, fmt: str) -> Iterator[str]:
-    """The export text in chunks: the v1 header line, then one chunk for
-    each P row with an edge, every line ending in LF. A bad fmt, or v1
-    without metadata, raises before the first chunk."""
+    r"""The export text in chunks: the v1 header line, then one chunk for
+    each P row, "" for a row with no edge, every line ending in LF. A bad
+    fmt, or v1 without metadata, raises before the first chunk.
+
+    A row's text is str.join with its P id as the separator over "" and
+    the row's suffixes " <L id>\n": p.join(("", s1, s2)) is
+    "p l1\np l2\n", and an empty row gives "". The suffixes are one map
+    over adjP.flat, which is the file's order. Rows of one length d (a
+    range of starts, as on every built or parsed moment graph) are
+    grouped by zip, d suffixes at a time, so no Python code runs per
+    row; rows kept as offsets are cut by islice, one row length at a time.
+    """
     if fmt not in ("v1", "bare"):
         raise ValueError(f"unknown format {fmt!r}")
     e = g.edge_count()
@@ -170,15 +182,14 @@ def _render(g: BiGraph, fmt: str) -> Iterator[str]:
         yield f"{FORMAT_V1} p={field.p} m={field.m} k={k} nP={g.nP} nL={g.nL} e={e}\n"
     elif not e:
         yield "\n"  # a bare export is never empty: an edgeless one is one blank line
-    # adjP order is the file's order: a row's chunk is str(p), made once
-    # per row, before each of its L vertices' suffixes, made once each and
-    # looked up by global id.
-    nP = g.nP
+    nP, starts = g.nP, g.adjP.starts
     suffix = ([""] * nP + [f" {l}\n" for l in range(nP, nP + g.nL)]).__getitem__
-    for p, row in enumerate(g.adjP):
-        if row:
-            ps = str(p)
-            yield ps + ps.join(map(suffix, row))
+    tails = map(suffix, g.adjP.flat)
+    if isinstance(starts, range):
+        rows = zip(repeat(""), *[tails] * starts.step)
+    else:
+        rows = map(chain, repeat(("",)), map(islice, repeat(tails), g.adjP.degrees()))
+    yield from map(str.join, map(str, range(nP)), rows)
 
 
 def to_text(g: BiGraph, fmt: str = "v1") -> str:

@@ -27,6 +27,7 @@ from girthforge.rows import Rows
 from helpers import (
     build_from_points,
     count_field_calls,
+    cycle_fixture,
     edges,
     from_edges,
     id_line,
@@ -173,7 +174,20 @@ WRITER_GRAPHS = {
     "isolated-l": from_edges(2, 6, [(0, 5), (1, 5)]),
     "d22": build(F2, 2),
     "f3-k3": build(F3, 3),
+    # Rows of one length d, kept as a range of starts: d = 1 and d = 2.
+    "matching": from_edges(4, 4, [(i, i) for i in range(4)]),
+    "cycle-8": cycle_fixture(8),
+    "f5-k2": build(F5, 2),
+    "f2-k5": build(F2, 5),
+    # Rows kept as offsets, with empty P rows first, in a run and last.
+    "empty-runs": from_edges(11, 3, [(2, 0), (2, 2), (3, 1), (7, 0), (7, 1), (7, 2), (8, 1)]),
 }
+
+
+def test_writer_graphs_store_rows_both_ways():
+    for name in ("matching", "cycle-8"):
+        assert isinstance(WRITER_GRAPHS[name].adjP.starts, range)
+    assert not isinstance(WRITER_GRAPHS["empty-runs"].adjP.starts, range)
 
 
 @pytest.mark.parametrize("fmt", ["v1", "bare"])
@@ -875,6 +889,18 @@ def test_parse_peaks_a_small_bound_above_the_text(dropped):
     assert peak < 16 * e
 
 
+def test_parse_round_trips_a_moment_text_with_its_last_edge_dropped():
+    # GF(25), k=3 with one edge dropped: 15 625 P rows kept as offsets,
+    # the last one a shorter row, read by the row scan and written back.
+    field = make_field(5, 2)
+    text = _off_moment(to_text(build(field, 3)), field, 3, "drop", "last")[0]
+    g = parse(text)
+    assert not isinstance(g.adjP.starts, range)
+    # Compared as lines, so a failure names the first line that differs
+    # rather than diffing two 4.4 MB strings.
+    assert to_text(g).splitlines(True) == text.splitlines(True)
+
+
 class _CountingSink:
     """A text sink that keeps only how many characters reach it."""
 
@@ -887,7 +913,8 @@ class _CountingSink:
 
 def test_export_never_holds_the_whole_text():
     # Joining the whole text before writing it took 3.8x the text;
-    # writing one P row at a time takes 0.56x.
+    # writing one P row at a time takes 0.56x, most of it the line
+    # suffixes of the L ids, which the render makes once each.
     g = parse(GF16_K3_TEXT)
     sink = _CountingSink()
     peak = _traced_peak(lambda: export(g, sink))
