@@ -11,14 +11,15 @@ polynomials are scanned in lexicographic order of their coefficient
 tuple (c_0, ..., c_{m-1}) and the first irreducible one wins, so equal
 (p, m) always produce the same field, with no external tables.
 
-Extension fields (m > 1) compute with four tables built from the
+Extension fields (m > 1) compute with three tables built from the
 polynomial arithmetic on the first arithmetic call and kept for the
 field's lifetime; make_field builds none. With g the smallest index
 whose powers run through all q - 1 nonzero elements, exp[i] = g^i,
-log inverts it, zech[d] = log(1 + g^d) (Zech's logarithm, -1 where
-1 + g^d = 0) and neg[a] = -a. Then a*b = g^(log a + log b),
-a^-1 = g^(q - 1 - log a) and a + b = a * (1 + b/a) = g^(log a +
-zech[log b - log a]), each a few list lookups.
+log inverts it and zech[d] = log(1 + g^d) (Zech's logarithm, -1 where
+1 + g^d = 0). Then a*b = g^(log a + log b), a^-1 = g^(q - 1 - log a)
+and a + b = a * (1 + b/a) = g^(log a + zech[log b - log a]), each a few
+list lookups. In every field -1 is the element p - 1, so
+-a = (p - 1) * a and a - b = a + (p - 1) * b.
 
 The graph kernels and the point-id kernel of lines4 read whole rows
 instead of calling the arithmetic once per entry: add_rows[a][b] =
@@ -103,11 +104,11 @@ def _smallest_irreducible(p: int, m: int) -> tuple[int, ...]:
     raise AssertionError(f"no irreducible monic polynomial of degree {m} over GF({p})")
 
 
-_Tables = tuple[list[int], list[int], list[int], list[int]]
+_Tables = tuple[list[int], list[int], list[int]]
 
 
 def _build_tables(p: int, m: int, modulus: tuple[int, ...]) -> _Tables:
-    """(exp, log, zech, neg) of GF(p^m), m > 1, from polynomial arithmetic.
+    """(exp, log, zech) of GF(p^m), m > 1, from polynomial arithmetic.
 
     exp has length 2(q - 1) so that a sum of two logs indexes it
     directly; log[0] is -1.
@@ -159,12 +160,7 @@ def _build_tables(p: int, m: int, modulus: tuple[int, ...]) -> _Tables:
     # 1 + e adds 1 to the lowest base-p digit of e; log[0] = -1 marks 1 + e = 0.
     zech = [log[e - e % p + (e + 1) % p] for e in exp]
     exp += exp
-    # -1 is g^((q-1)/2) for odd p and 1 for p = 2.
-    half = (q - 1) // 2 if p > 2 else 0
-    neg = [0] * q
-    for i in range(q - 1):
-        neg[exp[i]] = exp[i + half]
-    return exp, log, zech, neg
+    return exp, log, zech
 
 
 class Field:
@@ -199,7 +195,7 @@ class Field:
 
     @cached_property
     def _tables(self) -> _Tables:
-        """exp, log, zech and neg of an extension field, built on first use."""
+        """exp, log and zech of an extension field, built on first use."""
         return _build_tables(self.p, self.m, self.modulus)
 
     @cached_property
@@ -221,27 +217,24 @@ class Field:
             return b
         if not b:
             return a
-        exp, log, zech, _ = self._tables
+        exp, log, zech = self._tables
         la = log[a]
         # Python's negative indexing reduces log b - log a mod q - 1.
         z = zech[log[b] - la]
         return exp[la + z] if z >= 0 else 0
 
     def sub(self, a: int, b: int) -> int:
-        if self.m == 1:
-            return (a - b) % self.p
-        _, _, _, neg = self._tables
-        return self.add(a, neg[b])
+        return self.add(a, self.neg(b))
 
     def neg(self, a: int) -> int:
-        return self.sub(0, a)
+        return self.mul(self.p - 1, a)
 
     def mul(self, a: int, b: int) -> int:
         if self.m == 1:
             return a * b % self.p
         if a == 0 or b == 0:
             return 0
-        exp, log, _, _ = self._tables
+        exp, log, _ = self._tables
         return exp[log[a] + log[b]]
 
     def inv(self, a: int) -> int:
@@ -249,7 +242,7 @@ class Field:
             raise ZeroDivisionError("0 has no multiplicative inverse")
         if self.m == 1:
             return pow(a, self.p - 2, self.p)
-        exp, log, _, _ = self._tables
+        exp, log, _ = self._tables
         return exp[self.q - 1 - log[a]]
 
 
@@ -269,7 +262,7 @@ def field_order(p: int, m: int) -> int:
     return q
 
 
-# Bounded: the tables of GF(2^20) alone take about 104 MB.
+# Bounded: the tables of GF(2^20) alone take about 96 MB.
 @lru_cache(maxsize=4)
 def make_field(p: int, m: int = 1) -> Field:
     """Build GF(p^m) with the deterministic smallest irreducible modulus."""

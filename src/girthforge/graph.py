@@ -12,11 +12,10 @@ end to end, plus the row starts, a range on every built or parsed
 moment graph. ``build`` fills both sides from ``moment.line_blocks``
 and ``moment.point_blocks``, which write the rows already sorted, one
 block at a time into arrays allocated once, so no side is held twice.
-``from_rows`` stores the L rows it is given and fills the P side with
-one counting transpose. Given a text whose header names the moment
-graph's edge count, ``parse`` builds that graph and keeps it if the
-text is its export; any other text it reads row by row and transposes
-the same way.
+Given a text whose header names the moment graph's edge count,
+``parse`` builds that graph and keeps it if the text is its export; any
+other text it reads row by row and fills the L side with one counting
+transpose.
 ``build`` marks its graphs as the moment graph (``is_moment_graph``):
 their rows are the algebra's by construction, and the searches in
 ``verify`` rest every symmetry they use on that mark. Any other graph,
@@ -46,7 +45,7 @@ import operator
 import re
 from array import array
 from itertools import chain, islice, repeat
-from typing import IO, Iterable, Iterator, NamedTuple
+from typing import IO, Iterator, NamedTuple
 
 from girthforge.errors import refuse_change
 from girthforge.gf import Field, make_field
@@ -66,14 +65,14 @@ class BiGraph:
     """Immutable bipartite graph with sorted dual adjacency.
 
     adjP[p] holds global L ids (>= nP); adjL[l] holds P ids. The two
-    sides mirror each other: build, parse and from_rows each make one
-    from the other or both from the same algebra. meta is (field, k)
-    for built incidence graphs and None for ad-hoc fixtures.
+    sides mirror each other: build makes both from the same algebra and
+    parse makes one from the other. meta is (field, k) for built
+    incidence graphs and None for ad-hoc graphs.
 
     is_moment_graph is True only on the graphs build returns, whose rows
-    are the moment graph's by construction. The constructor and
-    from_rows leave it False, whatever rows they are given, so a
-    hand-made graph is never searched by the moment graph's symmetry.
+    are the moment graph's by construction. The constructor leaves it
+    False, whatever rows it is given, so a hand-made graph is never
+    searched by the moment graph's symmetry.
     Equality compares nP, nL, adjP, adjL and meta and ignores it. No
     attribute can be reassigned.
     """
@@ -137,13 +136,6 @@ def build(field: Field, k: int) -> BiGraph:
     g = BiGraph(n, n, adj_p, adj_l, (field, k))
     vars(g)["is_moment_graph"] = True
     return g
-
-
-def from_rows(nP: int, adj_l: Iterable[Iterable[int]]) -> BiGraph:
-    """The BiGraph whose L rows are adj_l, each strictly ascending P ids in
-    [0, nP); the P rows are their transpose."""
-    rows = Rows.of(adj_l)
-    return BiGraph(nP, len(rows), transpose(rows, nP, 0, nP), rows)
 
 
 def stats(g: BiGraph) -> GraphStats:
@@ -355,4 +347,4 @@ def parse(text: str) -> BiGraph:
         raise _fault(text, pos, nP, nL, (last_p, last_l))
     ends.extend(repeat(len(flat), nP - 1 - last_p))
     adj_p = Rows(flat, ends)
-    return BiGraph(nP, nL, adj_p, transpose(adj_p, nL, nP, 0), (field, k))
+    return BiGraph(nP, nL, adj_p, transpose(adj_p, nL, nP), (field, k))

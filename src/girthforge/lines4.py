@@ -15,13 +15,13 @@ of a family without solving a system per pair.
 A "C4 of lines" is four distinct lines whose consecutive pairs meet in
 four pairwise distinct points; equivalently an 8-cycle in the incidence
 graph between the lines and their multi-line points. The detector
-reads those points off the index and takes the first 8-cycle there from
-``verify.first_cycle``, which meets half-paths to find the least point
-that is the minimum of an 8-cycle and runs the cycle DFS from that
-point alone. The greedy search keeps, as int bitsets over its members,
-the members through each point and the members meeting each member; a
-candidate closes a C4 when one AND of those bitsets per (hit, neighbour)
-pair is nonzero.
+reads those points and both sides of that graph off the index, and
+takes the first 8-cycle there from ``verify.first_cycle``, which meets
+half-paths to find the least point that is the minimum of an 8-cycle
+and runs the cycle DFS from that point alone. The greedy search keeps,
+as int bitsets over its members, the members through each point and
+the members meeting each member; a candidate closes a C4 when one AND
+of those bitsets per (hit, neighbour) pair is nonzero.
 """
 
 from __future__ import annotations
@@ -34,13 +34,14 @@ from typing import IO, Callable, Iterable, NamedTuple
 
 from girthforge.errors import SizeLimitError
 from girthforge.gf import Field, field_order
-from girthforge.graph import check_body, from_rows, read_header
+from girthforge.graph import BiGraph, check_body, read_header
 from girthforge.moment import (
     Point,
     base_q_digits,
     enumerate_lines,
     moment_vector,
 )
+from girthforge.rows import Rows
 from girthforge.verify import first_cycle
 
 DIM = 4
@@ -178,8 +179,8 @@ def has_line_c4(field: Field, family: Iterable[GenLine]) -> LineC4Witness | None
     """Find a C4 of lines in the family, or None.
 
     Builds the incidence graph between the family and every point lying
-    on at least two of its lines; a C4 of lines is exactly an 8-cycle
-    there.
+    on at least two of its lines, both sides from the index of the lines
+    through each point; a C4 of lines is exactly an 8-cycle there.
     """
     fam = sorted(set(family))
     _check_family_size(len(fam))
@@ -189,12 +190,15 @@ def has_line_c4(field: Field, family: Iterable[GenLine]) -> LineC4Witness | None
         for pt in ids(line):
             through[pt].append(i)
     pts = sorted(pt for pt, idxs in through.items() if len(idxs) > 1)
+    n = len(pts)
     # Points in ascending order keep each line's row of point ids sorted.
     rows: list[list[int]] = [[] for _ in fam]
     for pi, pt in enumerate(pts):
         for li in through[pt]:
             rows[li].append(pi)
-    g = from_rows(len(pts), rows)
+    # through[pt] lists the lines through pt in ascending order.
+    adj_p = Rows.of([n + li for li in through[pt]] for pt in pts)
+    g = BiGraph(n, len(fam), adj_p, Rows.of(rows))
     cycle = first_cycle(g, 8)
     if cycle is None:
         return None
@@ -250,6 +254,8 @@ class C4FreeFamily:
         meets[c] & hit minus the members through pa, x and pc.
         """
         at, meets, adj = self._at, self._meets, self._adj
+        # point_of[c], where a hit c meets the line, is made on first need.
+        point_of: dict[int, int] = {}
         for a, pa in hits:
             rest = hit & ~at[pa]
             if not rest:
@@ -258,8 +264,10 @@ class C4FreeFamily:
                 if x == pa:
                     continue
                 b = meets[c] & rest & ~at[x]
-                # When c is a hit, dict(hits)[c] is its point pc.
-                if b and (not hit >> c & 1 or b & ~at[dict(hits)[c]]):
+                if b and hit >> c & 1:
+                    point_of = point_of or dict(hits)
+                    b &= ~at[point_of[c]]
+                if b:
                     return True
         return False
 

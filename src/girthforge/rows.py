@@ -5,6 +5,8 @@ between its start and the next row's. When every row has the same
 length d the starts are ``range(0, E + 1, d)``, which costs nothing to
 hold; otherwise they are an array of offsets. ``Rows`` picks between
 them, so equal rows compare equal and one row type serves both.
+``transpose`` makes the mirror side of a side with one counting pass;
+``graph.parse`` fills the L side of a text it reads row by row with it.
 """
 
 from __future__ import annotations
@@ -86,17 +88,17 @@ def fill(blocks: Iterable[bytes], entries: int) -> array:
     return flat
 
 
-def transpose(rows: Rows, n: int, first: int, shift: int) -> Rows:
+def transpose(rows: Rows, n: int, first: int) -> Rows:
     """The mirror side of rows, whose entries lie in [first, first + n):
-    its row j lists shift + i, ascending, for each row i that holds
-    first + j. Reading rows in order fills every mirror row in order."""
+    its row j lists i, ascending, for each row i that holds first + j.
+    Reading rows in order fills every mirror row in order."""
     flat = rows.flat
     counts = Counter(flat)
     ends = array("i", accumulate((counts[v] for v in range(first, first + n)), initial=0))
     out = array("i", [0]) * len(flat)
     # free[v] is the next slot of entry v's mirror row.
     free = [0] * first + ends[:-1].tolist()
-    owners = chain.from_iterable(map(repeat, count(shift), rows.degrees()))
+    owners = chain.from_iterable(map(repeat, count(), rows.degrees()))
     for i, v in zip(owners, flat):
         j = free[v]
         out[j] = i

@@ -298,21 +298,18 @@ def count_cycles(g: BiGraph, length: int) -> tuple[int, CycleWitness | None]:
     a simple cycle. Otherwise c_e is the number of simple paths of
     length - 2 steps on from the flag that end at a neighbour of P vertex
     0, refused before any path is made when (q-1)^(length-2) exceeds
-    FLAG_WALK_CAP. The witness is first_cycle(g, length), looked for only
-    when the count is nonzero.
+    FLAG_WALK_CAP. The witness is the canonical DFS's first cycle from
+    the roots counted from; on the moment graph it is looked for only once
+    the total is nonzero, and a DFS that then finds none raises RuntimeError.
     """
     if length % 2:
         return 0, None
     roots = _roots(g, length)
     l0 = _flag(g)
     if l0 is None:
-        count = 0
-        first: CycleWitness | None = None
-        for w in _cycles_from(g, length, roots):
-            count += 1
-            if first is None:
-                first = w
-        return count, first
+        cycles = _cycles_from(g, length, roots)
+        first = next(cycles, None)
+        return (first is not None) + sum(1 for _ in cycles), first
     if any(_flag_walks(g, m, l0) for m in range(4, length // 2 + 1, 2)):
         paths = (len(g.neighbors(0)) - 1) ** (length - 2)
         if paths > FLAG_WALK_CAP:
@@ -329,7 +326,12 @@ def count_cycles(g: BiGraph, length: int) -> tuple[int, CycleWitness | None]:
         raise RuntimeError(
             f"{edges} * {c_e} cycles through one edge is not a multiple of {length}"
         )
-    return total, first_cycle(g, length) if total else None
+    if not total:
+        return 0, None
+    w = next(_cycles_from(g, length, roots), None)
+    if w is None:
+        raise RuntimeError(f"{total} cycles of length {length} counted but the DFS finds none")
+    return total, w
 
 
 def l4_path_counts_from(g: BiGraph, p: int) -> Counter[int]:

@@ -83,8 +83,8 @@ def from_edges(
     duplicates collapse.
 
     Each vertex's neighbours are collected in a set and sorted, on both
-    sides, so this shares no transpose with graph.from_rows and serves
-    as its reference; only the layout of sorted rows, Rows.of, is shared.
+    sides, so this shares no code with rows.transpose and serves as its
+    reference; only the layout of sorted rows, Rows.of, is shared.
     """
     adj_p: list[set[int]] = [set() for _ in range(nP)]
     adj_l: list[set[int]] = [set() for _ in range(nL)]

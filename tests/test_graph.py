@@ -15,7 +15,6 @@ from girthforge.graph import (
     BiGraph,
     build,
     export,
-    from_rows,
     line_id,
     parse,
     point_id,
@@ -23,7 +22,7 @@ from girthforge.graph import (
     to_text,
 )
 from girthforge.moment import MomentLine, enumerate_lines, points_on
-from girthforge.rows import Rows
+from girthforge.rows import Rows, transpose
 from helpers import (
     build_from_points,
     count_field_calls,
@@ -402,8 +401,10 @@ def _mutants(field, k):
     moved = [list(r) for r in rows]
     p = moved[0].pop()
     moved[1] = sorted({*moved[1], p})
-    mutants = (from_rows(n, r) for r in (swapped, moved))
-    return [changed, *(BiGraph(h.nP, h.nL, h.adjP, h.adjL, g.meta) for h in mutants)]
+    return [changed] + [
+        from_edges(n, n, [(pt, l) for l, row in enumerate(r) for pt in row], g.meta)
+        for r in (swapped, moved)
+    ]
 
 
 @pytest.mark.parametrize("field,k", [(F2, 2), (F3, 3), (F4, 3), (F5, 4)], ids=repr)
@@ -461,15 +462,17 @@ def test_graph_equality_ignores_the_moment_graph_mark():
 
 @pytest.mark.parametrize("seed", range(100))
 def test_from_rows_matches_set_based_from_edges(seed):
+    # The counting transpose makes each side from the other's rows as
+    # from_edges makes both from sets: L rows from P rows, as parse does,
+    # and P rows, with local L ids, from L rows.
     g = random_bipartite(seed)
     pairs = [(p, l - g.nP) for p, l in edges(g)]
     # The same edges with one more vertex, isolated, on either side.
     for n_p, n_l in ((g.nP, g.nL), (g.nP + 1, g.nL), (g.nP, g.nL + 1)):
-        rows: list[list[int]] = [[] for _ in range(n_l)]
-        for p, l in pairs:
-            rows[l].append(p)
-        got = validate_bigraph(from_rows(n_p, rows))
-        assert got == from_edges(n_p, n_l, pairs)
+        ref = validate_bigraph(from_edges(n_p, n_l, pairs))
+        assert transpose(ref.adjP, n_l, n_p) == ref.adjL
+        local_p = Rows.of([l - n_p for l in row] for row in ref.adjP)
+        assert transpose(ref.adjL, n_p, 0) == local_p
 
 
 def test_from_edges_validation():

@@ -2,6 +2,7 @@ import hashlib
 import io
 import itertools
 import random
+from collections import defaultdict
 from fractions import Fraction
 
 import pytest
@@ -33,6 +34,7 @@ from helpers import (
     blocked,
     brute_force_line_c4,
     contains,
+    from_edges,
     intersect,
     line_point_id,
     pairwise_greedy,
@@ -43,11 +45,13 @@ from helpers import (
     points_of,
     random_genline,
     record_dfs_roots,
+    validate_bigraph,
 )
 
 F2 = make_field(2)
 F3 = make_field(3)
 F4 = make_field(2, 2)
+F5 = make_field(5)
 
 # Size of the family grown over GF(2)^4 with the default seed; a
 # regression constant, any change means the ordering or detector moved.
@@ -622,6 +626,45 @@ def test_parse_family_pivot_rule_agrees_with_canonical_genline(field):
     # Each canonical line once over the small fields; the sample's
     # canonical forms over GF(4).
     assert accepted == genline_count(field) if q < 4 else accepted > 1000
+
+
+def _incidence_reference(field, family):
+    """The graph has_line_c4 searches, made from points_of: each point
+    on two or more of the lines, by ascending id, against each line."""
+    fam = sorted(set(family))
+    through = defaultdict(list)
+    for li, line in enumerate(fam):
+        for pt in points_of(field, line):
+            through[line_point_id(field, pt)].append(li)
+    pts = sorted(pt for pt, lis in through.items() if len(lis) > 1)
+    pairs = [(pi, li) for pi, pt in enumerate(pts) for li in through[pt]]
+    return from_edges(len(pts), len(fam), pairs)
+
+
+INCIDENCE_FAMILIES = [(f, "seed", None) for f in (F2, F3, F4, F5)] + [
+    (f, "greedy", seed) for f in (F2, F3) for seed in range(3)
+] + [(F4, "greedy", 0)]
+
+
+@pytest.mark.parametrize(
+    "field,kind,seed",
+    INCIDENCE_FAMILIES,
+    ids=[f"q{f.q}-{kind}{'' if s is None else s}" for f, kind, s in INCIDENCE_FAMILIES],
+)
+def test_has_line_c4_searches_the_reference_incidence_graph(field, kind, seed, monkeypatch):
+    family = moment_seed(field) if kind == "seed" else greedy_c4free(field, seed)
+    graphs = []
+
+    def kept(g, length):
+        graphs.append(g)
+        return first_cycle(g, length)
+
+    monkeypatch.setattr(lines4, "first_cycle", kept)
+    found = has_line_c4(field, family)
+    assert (found is None) == (kind == "greedy")
+    (g,) = graphs
+    assert validate_bigraph(g) == _incidence_reference(field, family)
+    assert g.nP > 0 and not g.is_moment_graph
 
 
 @pytest.mark.parametrize("field", [F2, F3, F4], ids=repr)

@@ -10,7 +10,7 @@ import pytest
 from girthforge import graph, verify
 from girthforge.errors import SizeLimitError
 from girthforge.gf import make_field
-from girthforge.graph import BiGraph, build, from_rows, parse, to_text
+from girthforge.graph import BiGraph, build, parse, to_text
 from girthforge.moment import line_through, points_on
 from girthforge.oracle import NAIVE_LEN_CAP, NAIVE_VERTEX_CAP, naive_cycle_count
 from girthforge.rows import Rows
@@ -392,6 +392,49 @@ def test_flag_count_refuses_a_total_that_is_not_whole(monkeypatch):
         count_cycles(build(F3, 2), 6)
 
 
+CERTIFIED_NONZERO = [(F3, 2, 6), (F3, 2, 12), (F2, 4, 8), (F3, 3, 8), (F4, 3, 8), (F3, 5, 12)]
+
+
+@pytest.mark.parametrize(
+    "field,k,length",
+    CERTIFIED_NONZERO,
+    ids=[f"q{f.q}-k{k}-c{n}" for f, k, n in CERTIFIED_NONZERO],
+)
+def test_certified_witness_is_the_first_dfs_cycle_from_p_vertex_0(monkeypatch, field, k, length):
+    g = build(field, k)
+    roots = record_dfs_roots(monkeypatch)
+    monkeypatch.setattr(verify, "_roots_a_cycle", None)
+    count, w = count_cycles(g, length)
+    assert count > 0 and roots == [range(1)]
+    assert w == next(iter_cycles(g, length))
+
+
+def test_certified_zero_count_runs_no_dfs(monkeypatch):
+    roots = record_dfs_roots(monkeypatch)
+    monkeypatch.setattr(verify, "_roots_a_cycle", None)
+    for field, k, length in ((F3, 3, 6), (F4, 4, 6), (F2, 5, 10)):
+        assert count_cycles(build(field, k), length) == (0, None)
+    assert roots == []
+
+
+def test_all_roots_count_takes_its_witness_from_the_one_enumeration(monkeypatch):
+    g = build(F3, 2)
+    h = BiGraph(g.nP, g.nL, g.adjP, g.adjL)
+    full = _full_count(g, 6)
+    assert full[0] > 0
+    roots = record_dfs_roots(monkeypatch)
+    assert count_cycles(h, 6) == count_cycles(g, 6) == full
+    # One enumeration from every root for h, one from P vertex 0 for g.
+    assert roots == [range(h.nP), range(1)]
+
+
+def test_certified_count_raises_when_the_dfs_finds_no_cycle(monkeypatch):
+    # GF(3), k=3 has no C6; two walks through the flag claim 81 * 2 / 6.
+    monkeypatch.setattr(verify, "_flag_walks", lambda g, length, l0: 2)
+    with pytest.raises(RuntimeError, match="^27 cycles of length 6 counted but the DFS finds none$"):
+        count_cycles(build(F3, 3), 6)
+
+
 def test_shorter_cycle_gate_carries_weight():
     # Girth 6: some closed non-backtracking 12-walks run twice around a
     # 6-cycle or through two of them, so the walks through the flag
@@ -415,11 +458,15 @@ def test_flag_count_reaches_past_the_all_roots_cap():
         count_cycles(BiGraph(g.nP, g.nL, g.adjP, g.adjL), 10)
     # first_cycle searches the certified graph from P vertex 0 alone, so
     # the vertex cap does not refuse it either.
-    for length in (10, 12):
-        w = first_cycle(g, length)
-        assert w == next(verify._cycles_from(g, length, range(1)), None)
-        assert w == count_cycles(g, length)[1]
+    w = first_cycle(g, 12)
+    assert w is not None and w == next(verify._cycles_from(g, 12, range(1)))
+    assert w == count_cycles(g, 12)[1]
     assert first_cycle(g, 10) is None
+    # The DFS that agrees there is no C10 through P vertex 0 walks every
+    # simple 9-step path from it: seconds at GF(7), milliseconds here.
+    h = build(F4, 5)
+    assert first_cycle(h, 10) is None
+    assert next(verify._cycles_from(h, 10, range(1)), None) is None
 
 
 def test_flag_walk_cap(monkeypatch):
@@ -618,7 +665,8 @@ def _planted(length: int, root: int) -> BiGraph:
     half = length // 2
     ring = [sorted((root + i, root + (i + 1) % half)) for i in range(half)]
     tail = [[i, i + 1] for i in range(root)] + [[0]]
-    return from_rows(root + half, ring + tail)
+    rows = ring + tail
+    return from_edges(root + half, len(rows), [(p, l) for l, row in enumerate(rows) for p in row])
 
 
 @pytest.mark.parametrize("root", (1, 3))
@@ -661,7 +709,7 @@ def test_simple_paths_match_brute_force():
 
 def test_first_cycle_refuses_long_lengths_past_the_vertex_cap():
     # A 4-cycle padded with isolated P vertices past the cap.
-    g = from_rows(BIG_CYCLE_VERTEX_CAP, [[0, 1], [0, 1]])
+    g = from_edges(BIG_CYCLE_VERTEX_CAP, 2, [(0, 0), (0, 1), (1, 0), (1, 1)])
     for length in range(4, 10):
         assert first_cycle(g, length) == next(iter_cycles(g, length), None), length
     for length in (10, 12):
