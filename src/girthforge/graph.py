@@ -9,9 +9,12 @@ side and every exported artifact byte-reproducible.
 
 Each side is a ``rows.Rows``: one flat ``array('i')`` of its rows laid
 end to end, plus the row starts, a range on every built or parsed
-moment graph. ``build`` fills both sides from ``moment.line_blocks``
-and ``moment.point_blocks``, which write the rows already sorted, one
-block at a time into arrays allocated once, so no side is held twice.
+moment graph. ``build`` fills the P side from ``moment.point_blocks``
+and leaves the L side to ``moment.line_blocks``: the L side is made the
+first time it is read and then kept (``BiGraph.adjL``). Both kernels
+write the rows already sorted, one block at a time into an array
+allocated once, so no side is held twice. The export reads the P side
+alone, so a graph that is built and exported never makes its L side.
 Given a text whose header names the moment graph's edge count,
 ``parse`` builds that graph and keeps it if the text is its export; any
 other text it reads row by row and fills the L side with one counting
@@ -31,12 +34,12 @@ A bare variant drops the header for third-party tools. ``parse`` reads
 back only what ``to_text`` writes: each edge line is two plain ASCII
 decimals (no sign, underscore or leading zero) one space apart, and
 every line ends in LF, the last one included. Neither direction holds
-the body twice: ``export`` writes one P row at a time to its sink, and
-``parse`` compares or reads one P row at a time out of the text it is
-given. A P row's text is one ``str.join`` with its P id as the
-separator over its L vertices' line suffixes, and the rows come from
-one iterator pipeline over the flat P side, so the render runs no
-Python code per row or per edge.
+the body twice: ``export`` writes a block of P rows at a time to its
+sink, ``parse`` compares the text with the export in the same blocks,
+and reads any other text one P row at a time. A P row's text is one
+``str.join`` with its P id as the separator over its L vertices' line
+suffixes, and the rows come from one iterator pipeline over the flat P
+side, so the render runs no Python code per row or per edge.
 """
 
 from __future__ import annotations
@@ -44,6 +47,7 @@ from __future__ import annotations
 import operator
 import re
 from array import array
+from functools import cached_property
 from itertools import chain, islice, repeat
 from typing import IO, Iterator, NamedTuple
 
@@ -59,6 +63,9 @@ from girthforge.moment import (
 from girthforge.rows import Rows, fill, transpose
 
 FORMAT_V1 = "girthforge-v1"
+# P rows rendered as one chunk: one sink write, or one comparison with
+# the text in parse.
+_BLOCK_ROWS = 256
 
 
 class BiGraph:
@@ -67,14 +74,16 @@ class BiGraph:
     adjP[p] holds global L ids (>= nP); adjL[l] holds P ids. The two
     sides mirror each other: build makes both from the same algebra and
     parse makes one from the other. meta is (field, k) for built
-    incidence graphs and None for ad-hoc graphs.
+    incidence graphs and None for ad-hoc graphs. The constructor is
+    given both sides; a graph from build is given its P side, and its
+    L side is made on first read and kept.
 
     is_moment_graph is True only on the graphs build returns, whose rows
     are the moment graph's by construction. The constructor leaves it
     False, whatever rows it is given, so a hand-made graph is never
     searched by the moment graph's symmetry.
-    Equality compares nP, nL, adjP, adjL and meta and ignores it. No
-    attribute can be reassigned.
+    Equality compares nP, nL, adjP, adjL and meta and ignores it; like
+    repr, it reads adjL. No attribute can be reassigned.
     """
 
     def __init__(
@@ -83,6 +92,14 @@ class BiGraph:
         vars(self).update(nP=nP, nL=nL, adjP=adjP, adjL=adjL, meta=meta, is_moment_graph=False)
 
     __setattr__ = __delattr__ = refuse_change
+
+    @cached_property
+    def adjL(self) -> Rows:
+        """The L side of a graph from build, filled on first read from the
+        line blocks build left unread; every other graph holds the L side
+        it was given."""
+        blocks = vars(self).pop("_line_blocks")
+        return Rows(fill(blocks, self.edge_count()), self.adjP.starts)
 
     def _key(self) -> tuple:
         return self.nP, self.nL, self.adjP, self.adjL, self.meta
@@ -126,15 +143,19 @@ def line_id(field: Field, line: MomentLine) -> int:
 
 
 def build(field: Field, k: int) -> BiGraph:
-    """Assemble the incidence graph between GF(q)^k and its moment lines."""
+    """The incidence graph between GF(q)^k and its moment lines, marked
+    as the moment graph. The P side is filled here from point_blocks.
+    The blocks of line_blocks are left unread until the L side is first
+    read (BiGraph.adjL), so a graph that is only exported never makes
+    its L side."""
     check_lines(field, k)
     q = field.q
     n, e = q**k, q ** (k + 1)
-    starts = range(0, e + 1, q)
-    adj_l = Rows(fill(line_blocks(field, k), e), starts)
-    adj_p = Rows(fill(point_blocks(field, k), e), starts)
-    g = BiGraph(n, n, adj_p, adj_l, (field, k))
-    vars(g)["is_moment_graph"] = True
+    adj_p = Rows(fill(point_blocks(field, k), e), range(0, e + 1, q))
+    g = BiGraph.__new__(BiGraph)
+    vars(g).update(nP=n, nL=n, adjP=adj_p, meta=(field, k), is_moment_graph=True)
+    # A generator: no L block is made before adjL reads it.
+    vars(g)["_line_blocks"] = line_blocks(field, k)
     return g
 
 
@@ -152,9 +173,9 @@ def stats(g: BiGraph) -> GraphStats:
 
 
 def _render(g: BiGraph, fmt: str) -> Iterator[str]:
-    r"""The export text in chunks: the v1 header line, then one chunk for
-    each P row, "" for a row with no edge, every line ending in LF. A bad
-    fmt, or v1 without metadata, raises before the first chunk.
+    r"""The export text in chunks: the v1 header line, then the P rows
+    _BLOCK_ROWS at a time, one chunk a block, every line ending in LF. A
+    bad fmt, or v1 without metadata, raises before the first chunk.
 
     A row's text is str.join with its P id as the separator over "" and
     the row's suffixes " <L id>\n": p.join(("", s1, s2)) is
@@ -163,6 +184,7 @@ def _render(g: BiGraph, fmt: str) -> Iterator[str]:
     range of starts, as on every built or parsed moment graph) are
     grouped by zip, d suffixes at a time, so no Python code runs per
     row; rows kept as offsets are cut by islice, one row length at a time.
+    A block is one join of its rows' texts.
     """
     if fmt not in ("v1", "bare"):
         raise ValueError(f"unknown format {fmt!r}")
@@ -181,7 +203,9 @@ def _render(g: BiGraph, fmt: str) -> Iterator[str]:
         rows = zip(repeat(""), *[tails] * starts.step)
     else:
         rows = map(chain, repeat(("",)), map(islice, repeat(tails), g.adjP.degrees()))
-    yield from map(str.join, map(str, range(nP)), rows)
+    texts = map(str.join, map(str, range(nP)), rows)
+    for _ in range(0, nP, _BLOCK_ROWS):
+        yield "".join(islice(texts, _BLOCK_ROWS))
 
 
 def to_text(g: BiGraph, fmt: str = "v1") -> str:
@@ -189,8 +213,8 @@ def to_text(g: BiGraph, fmt: str = "v1") -> str:
 
 
 def export(g: BiGraph, sink: IO[str], fmt: str = "v1") -> None:
-    """Write the edge list to an open text sink one P row at a time, so
-    the whole text is never held; I/O errors propagate."""
+    """Write the edge list to an open text sink one block of P rows at a
+    time, so the whole text is never held; I/O errors propagate."""
     for chunk in _render(g, fmt):
         sink.write(chunk)
 
@@ -279,8 +303,9 @@ def _fault(text: str, pos: int, nP: int, nL: int, prev: tuple[int, int]) -> Valu
 
 def _built_if_rendered(field: Field, k: int, text: str) -> BiGraph | None:
     """build(field, k) if text is its v1 export, else None. The text is
-    compared with the export one chunk at a time, so neither is copied,
-    and a graph that does not match dies here, before any scan."""
+    compared with the export one block of P rows at a time, so neither
+    is copied, and a graph that does not match dies here, before any
+    scan and with no L side made."""
     g, pos = build(field, k), 0
     for chunk in _render(g, "v1"):
         if not text.startswith(chunk, pos):
@@ -298,9 +323,10 @@ def parse(text: str) -> BiGraph:
 
     A header with the moment graph's edge count, q^(k+1), names one
     text: the export of build(field, k). That graph is built and its
-    export compared with the text one P row at a time; if they are
-    equal it is the result, with no edge read and no scan of the body,
-    whose line structure is the export's by construction. Every other
+    export compared with the text one block of P rows at a time, which
+    reads its P side alone; if they are equal it is the result, with no
+    edge read, no scan of the body, whose line structure is the
+    export's by construction, and no L side made. Every other
     text has its body checked by check_body and is read one P row at a
     time out of the text itself: each row is stored as it is read,
     sorted and free of duplicates, and the L side is their transpose.

@@ -140,11 +140,14 @@ def _sums(start: int, tables: list[list[int]]) -> list[int]:
 
 def line_blocks(field: Field, k: int) -> Iterator[bytes]:
     """Each line's q point ids, ascending, in line-id order, as the bytes
-    of an array('i'): one block per direction z."""
+    of an array('i'): one block per direction z and top base digit t, so
+    a block holds 1/q^2 of the side."""
     q = field.q
     add_rows, mul_rows = field.add_rows, field.mul_rows
-    yield array("i", range(q**k)).tobytes()
-    top = _pack(c * q ** (k - 1) for c in range(q))
+    step = q ** (k - 1)
+    for t in range(q):
+        yield array("i", range(t * step, (t + 1) * step)).tobytes()
+    top = _pack(c * step for c in range(q))
     width = 4 * q
     for z in range(1, q):
         w = field.inv(z)
@@ -158,14 +161,13 @@ def line_blocks(field: Field, k: int) -> Iterator[bytes]:
             [_pack(map(row.__getitem__, mul_rows[ui])) * q**i for row in add_rows]
             for i, ui in enumerate(u)
         ]
-        rows = []
         for t in range(q):
             # x_i = b_i + (c - t) u_i = (b_i - t u_i) + c u_i, and b_0 = 0;
             # b_i - t u_i is entry b_i of the row of s_i = t (-u_i).
             s = list(map(mul_rows[t].__getitem__, nu))
             tables = [list(map(terms[i].__getitem__, add_rows[s[i]])) for i in range(1, k - 1)]
-            rows += _sums(top + terms[0][s[0]], tables)
-        yield b"".join([row.to_bytes(width, sys.byteorder) for row in rows])
+            rows = _sums(top + terms[0][s[0]], tables)
+            yield b"".join([row.to_bytes(width, sys.byteorder) for row in rows])
 
 
 def point_blocks(field: Field, k: int) -> Iterator[bytes]:

@@ -15,7 +15,7 @@ import operator
 from array import array
 from collections import Counter
 from itertools import accumulate, chain, count, islice, pairwise, repeat
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 
 class Rows:
@@ -39,13 +39,12 @@ class Rows:
         self.starts = starts
 
     @classmethod
-    def of(cls, rows: Iterable[Iterable[int]]) -> Rows:
+    def of(cls, rows: Iterable[Sequence[int]]) -> Rows:
         """The given rows, laid end to end."""
-        flat, ends = array("i"), array("i", [0])
-        for row in rows:
-            flat.extend(row)
-            ends.append(len(flat))
-        return cls(flat, ends)
+        rows = list(rows)
+        # An array fills faster from a list than from an iterator.
+        flat = array("i", [*chain.from_iterable(rows)])
+        return cls(flat, array("i", accumulate(map(len, rows), initial=0)))
 
     def __len__(self) -> int:
         return len(self.starts) - 1
@@ -78,13 +77,16 @@ class Rows:
 
 def fill(blocks: Iterable[bytes], entries: int) -> array:
     """An array('i') of this many entries, allocated once, filled with the
-    blocks' bytes in order."""
+    blocks' bytes in order. Blocks that stop short, such as a generator
+    read once already, raise ValueError rather than leave zeros."""
     flat = array("i", [0]) * entries
     with memoryview(flat) as mv, mv.cast("B") as view:
         pos = 0
         for block in blocks:
             view[pos : pos + len(block)] = block
             pos += len(block)
+    if pos != entries * flat.itemsize:
+        raise ValueError(f"blocks filled {pos} of {entries * flat.itemsize} bytes")
     return flat
 
 

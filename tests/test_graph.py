@@ -21,8 +21,8 @@ from girthforge.graph import (
     stats,
     to_text,
 )
-from girthforge.moment import MomentLine, enumerate_lines, points_on
-from girthforge.rows import Rows, transpose
+from girthforge.moment import MomentLine, enumerate_lines, line_blocks, points_on
+from girthforge.rows import Rows, fill, transpose
 from helpers import (
     build_from_points,
     count_field_calls,
@@ -339,6 +339,47 @@ def test_build_p_side_is_the_set_based_transpose(field, k):
     assert g.adjP.starts == g.adjL.starts == range(0, g.edge_count() + 1, field.q)
 
 
+@pytest.mark.parametrize("field,k", ROW_CASES, ids=[f"q{f.q}-k{k}" for f, k in ROW_CASES])
+def test_l_side_made_on_first_read_is_the_transpose_of_the_p_side(field, k):
+    # build fills the P side alone; the first read of adjL makes the L
+    # side, equal to the mirror of the P side and to line_blocks' blocks
+    # read in one go, and keeps it.
+    g = build(field, k)
+    assert "adjL" not in vars(g)
+    e = g.edge_count()
+    eager = Rows(fill(line_blocks(field, k), e), range(0, e + 1, field.q))
+    assert g.adjL == eager == transpose(g.adjP, g.nL, g.nP)
+    assert vars(g)["adjL"] is g.adjL
+
+
+def test_fill_refuses_blocks_that_stop_short():
+    # A built graph's L side is filled from a generator that can be read
+    # once; read again, as by a shallow copy of the graph, it gives no
+    # block, and fill raises rather than leave an array of zeros.
+    blocks = line_blocks(F3, 2)
+    assert fill(blocks, 27) == build(F3, 2).adjL.flat
+    with pytest.raises(ValueError, match="blocks filled 0 of 108 bytes"):
+        fill(blocks, 27)
+    with pytest.raises(ValueError, match="blocks filled 4 of 8 bytes"):
+        fill([bytes(4)], 2)
+
+
+def test_l_side_cannot_be_changed_before_or_after_it_is_made():
+    g = build(F3, 3)
+    for made in (False, True):
+        assert ("adjL" in vars(g)) is made
+        with pytest.raises(AttributeError, match="cannot be changed"):
+            g.adjL = g.adjP
+        with pytest.raises(AttributeError, match="cannot be changed"):
+            del g.adjL
+        assert ("adjL" in vars(g)) is made
+        side = g.adjL
+    assert g.adjL is side and g.is_moment_graph
+    # A graph not made by build holds the L side it was given.
+    h = BiGraph(g.nP, g.nL, g.adjP, side, g.meta)
+    assert vars(h)["adjL"] is side and h == g
+
+
 @pytest.mark.parametrize("p,m,k", [(3, 2, 2), (3, 2, 3), (3, 2, 4), (3, 2, 5), (5, 2, 3)])
 @pytest.mark.usefixtures("fresh_fields")
 def test_build_and_certificate_read_the_field_by_rows(monkeypatch, p, m, k):
@@ -383,6 +424,31 @@ def test_rows_hold_a_regular_side_as_a_range():
     assert Rows.of([]) == Rows.of(()) and len(Rows.of([])) == 0
     with pytest.raises(IndexError):
         rows[3]
+
+
+def _rows_of_per_row(rows):
+    """Rows.of as one extend and one append per row."""
+    flat, ends = array("i"), array("i", [0])
+    for row in rows:
+        flat.extend(row)
+        ends.append(len(flat))
+    return Rows(flat, ends)
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_rows_of_lays_out_random_ragged_rows_as_one_row_at_a_time(seed):
+    # Empty rows, one row, no rows at all, and every fourth seed rows of
+    # one length, which Rows keeps as a range of starts.
+    rng = random.Random(seed)
+    n = rng.choice([0, 1, rng.randrange(2, 60)])
+    if seed % 4 == 0:
+        lengths = [rng.randrange(4)] * n
+    else:
+        lengths = [rng.choice([0, 0, 1, rng.randrange(9)]) for _ in range(n)]
+    rows = [[rng.randrange(-(1 << 31), 1 << 31) for _ in range(d)] for d in lengths]
+    got = Rows.of(iter(rows))
+    assert got == _rows_of_per_row(rows)
+    assert [row.tolist() for row in got] == rows and list(got.degrees()) == lengths
 
 
 def _mutants(field, k):
@@ -592,6 +658,29 @@ def test_parse_scans_the_body_only_off_the_export(monkeypatch):
         off = _off_moment(text, F3, 3, kind, "middle")[0]
         assert not parse(off).is_moment_graph and scanned[-1] == (start, "e", e)
     assert len(scanned) == 2
+
+
+def test_parse_makes_no_l_side_to_compare_a_text(monkeypatch):
+    # A moment-sized text is compared with the export of the graph parse
+    # builds, which reads the P side alone: that graph's L side is never
+    # made, whether the text is its export or stops the comparison in the
+    # first, a middle or the last block of P rows.
+    built = []
+    real = graph.build
+
+    def recorded(field, k):
+        built.append(real(field, k))
+        return built[-1]
+
+    monkeypatch.setattr(graph, "build", recorded)
+    text = to_text(real(F4, 3))
+    g = parse(text)
+    assert built == [g] and "adjL" not in vars(g)
+    for where in ("first", "middle", "last"):
+        h = parse(_off_moment(text, F4, 3, "edit", where)[0])
+        assert not h.is_moment_graph and "adjL" in vars(h)
+        assert h is not built[-1] and "adjL" not in vars(built[-1])
+    assert len(built) == 4
 
 
 class _Transposed(Exception):
@@ -923,3 +1012,22 @@ def test_export_never_holds_the_whole_text():
     peak = _traced_peak(lambda: export(g, sink))
     assert sink.chars == len(GF16_K3_TEXT)
     assert peak < len(GF16_K3_TEXT)
+
+
+def test_export_of_a_built_graph_keeps_one_int32_array():
+    # GF(16), k=4: 2^20 edges. build fills the P side, and export and
+    # to_text read it alone, so the graph keeps one array of 4-byte ids
+    # and a range; the L side is not made.
+    field = make_field(2, 4)
+    field.add_rows, field.mul_rows  # the field's tables and rows are built outside the count
+
+    def built_and_written():
+        g = build(field, 4)
+        export(g, _CountingSink())
+        to_text(g)
+        return g
+
+    g, _, kept = _traced(built_and_written)
+    e, n = g.edge_count(), g.nP + g.nL
+    assert e == 1 << 20 and "adjL" not in vars(g)
+    assert kept <= 4 * e + n

@@ -608,6 +608,28 @@ def test_searches_on_a_built_graph_make_no_line_blocks(monkeypatch):
     assert h == g and h.is_moment_graph and calls == [(F3, 4)]
 
 
+@pytest.mark.parametrize(
+    "field,k", [(F2, 5), (F3, 2), (F3, 3), (F4, 3), (F3, 4), (F5, 2)], ids=repr
+)
+def test_searches_agree_whether_the_l_side_was_made_before_or_by_them(field, k):
+    # A built graph's L side is made on first read: by the caller here,
+    # before the search, or by the search itself.
+    searches = [
+        find_c4,
+        max_l4_paths,
+        lambda g: count_cycles(g, 6),
+        lambda g: count_cycles(g, 8),
+        construction_report,
+    ]
+    for search in searches:
+        before, fresh = build(field, k), build(field, k)
+        before.adjL
+        assert "adjL" not in vars(fresh)
+        assert search(fresh) == search(before)
+        assert "adjL" in vars(fresh)
+    assert verify_construction(field, k) == construction_report(before)
+
+
 SMALL_ROOTED_CASES = [(f, k, lengths) for f, k, lengths in ROOTED_CASES if f.q <= 3]
 
 
