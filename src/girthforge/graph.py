@@ -7,14 +7,17 @@ nP into a shared ID space, so any int >= nP names a line. Adjacency is
 kept sorted on both sides, which makes traversals cheap from either
 side and every exported artifact byte-reproducible.
 
-Each side is a ``rows.Rows``: one flat ``array('i')`` of its rows laid
-end to end, plus the row starts, a range on every built or parsed
-moment graph. ``build`` fills the P side from ``moment.point_blocks``
-and leaves the L side to ``moment.line_blocks``: the L side is made the
-first time it is read and then kept (``BiGraph.adjL``). Both kernels
-write the rows already sorted, one block at a time into an array
-allocated once, so no side is held twice. The export reads the P side
-alone, so a graph that is built and exported never makes its L side.
+A side laid out is a ``rows.Rows``: one flat ``array('i')`` of its rows
+laid end to end, plus the row starts, a range on every built or parsed
+moment graph. ``build`` fills the P side from ``moment.point_blocks``,
+which writes the rows already sorted, one block at a time into an
+array allocated once. Its L side is a ``rows.LazyRows`` over
+``moment.line_kernel``: each L row is computed from the algebra the
+first time it is read and then kept, so a search keeps only the rows
+it reads, and the side is laid out whole only for ``flat``, iteration,
+equality and ``repr``. Its degrees are known without a row, so
+``stats`` computes none. The export reads the P side alone, so a graph
+that is built and exported computes no L row.
 Given a text whose header names the moment graph's edge count,
 ``parse`` builds that graph and keeps it if the text is its export; any
 other text it reads row by row and fills the L side with one counting
@@ -47,20 +50,13 @@ from __future__ import annotations
 import operator
 import re
 from array import array
-from functools import cached_property
 from itertools import chain, islice, repeat
 from typing import IO, Iterator, NamedTuple
 
 from girthforge.errors import refuse_change
 from girthforge.gf import Field, make_field
-from girthforge.moment import (
-    MomentLine,
-    Point,
-    check_lines,
-    line_blocks,
-    point_blocks,
-)
-from girthforge.rows import Rows, fill, transpose
+from girthforge.moment import MomentLine, Point, check_lines, line_kernel, point_blocks
+from girthforge.rows import LazyRows, Rows, fill, transpose
 
 FORMAT_V1 = "girthforge-v1"
 # P rows rendered as one chunk: one sink write, or one comparison with
@@ -75,31 +71,28 @@ class BiGraph:
     sides mirror each other: build makes both from the same algebra and
     parse makes one from the other. meta is (field, k) for built
     incidence graphs and None for ad-hoc graphs. The constructor is
-    given both sides; a graph from build is given its P side, and its
-    L side is made on first read and kept.
+    given both sides; a graph from build is given its P side laid out
+    and an L side whose rows are computed as they are read.
 
     is_moment_graph is True only on the graphs build returns, whose rows
     are the moment graph's by construction. The constructor leaves it
     False, whatever rows it is given, so a hand-made graph is never
     searched by the moment graph's symmetry.
     Equality compares nP, nL, adjP, adjL and meta and ignores it; like
-    repr, it reads adjL. No attribute can be reassigned.
+    repr, it reads every row of adjL. No attribute can be reassigned.
     """
 
     def __init__(
-        self, nP: int, nL: int, adjP: Rows, adjL: Rows, meta: tuple[Field, int] | None = None
+        self,
+        nP: int,
+        nL: int,
+        adjP: Rows,
+        adjL: Rows | LazyRows,
+        meta: tuple[Field, int] | None = None,
     ) -> None:
         vars(self).update(nP=nP, nL=nL, adjP=adjP, adjL=adjL, meta=meta, is_moment_graph=False)
 
     __setattr__ = __delattr__ = refuse_change
-
-    @cached_property
-    def adjL(self) -> Rows:
-        """The L side of a graph from build, filled on first read from the
-        line blocks build left unread; every other graph holds the L side
-        it was given."""
-        blocks = vars(self).pop("_line_blocks")
-        return Rows(fill(blocks, self.edge_count()), self.adjP.starts)
 
     def _key(self) -> tuple:
         return self.nP, self.nL, self.adjP, self.adjL, self.meta
@@ -144,18 +137,15 @@ def line_id(field: Field, line: MomentLine) -> int:
 
 def build(field: Field, k: int) -> BiGraph:
     """The incidence graph between GF(q)^k and its moment lines, marked
-    as the moment graph. The P side is filled here from point_blocks.
-    The blocks of line_blocks are left unread until the L side is first
-    read (BiGraph.adjL), so a graph that is only exported never makes
-    its L side."""
+    as the moment graph. The P side is filled here from point_blocks;
+    each L row is computed by line_kernel when it is first read, so a
+    graph that is only exported or counted computes no L row."""
     check_lines(field, k)
     q = field.q
     n, e = q**k, q ** (k + 1)
     adj_p = Rows(fill(point_blocks(field, k), e), range(0, e + 1, q))
-    g = BiGraph.__new__(BiGraph)
-    vars(g).update(nP=n, nL=n, adjP=adj_p, meta=(field, k), is_moment_graph=True)
-    # A generator: no L block is made before adjL reads it.
-    vars(g)["_line_blocks"] = line_blocks(field, k)
+    g = BiGraph(n, n, adj_p, LazyRows(line_kernel(field, k), n, q), (field, k))
+    vars(g)["is_moment_graph"] = True
     return g
 
 
@@ -305,7 +295,7 @@ def _built_if_rendered(field: Field, k: int, text: str) -> BiGraph | None:
     """build(field, k) if text is its v1 export, else None. The text is
     compared with the export one block of P rows at a time, so neither
     is copied, and a graph that does not match dies here, before any
-    scan and with no L side made."""
+    scan and with no L row computed."""
     g, pos = build(field, k), 0
     for chunk in _render(g, "v1"):
         if not text.startswith(chunk, pos):
@@ -326,7 +316,7 @@ def parse(text: str) -> BiGraph:
     export compared with the text one block of P rows at a time, which
     reads its P side alone; if they are equal it is the result, with no
     edge read, no scan of the body, whose line structure is the
-    export's by construction, and no L side made. Every other
+    export's by construction, and no L row computed. Every other
     text has its body checked by check_body and is read one P row at a
     time out of the text itself: each row is stored as it is read,
     sorted and free of duplicates, and the L side is their transpose.

@@ -6,13 +6,14 @@ starts with 1, the shift along a line that zeroes the first coordinate
 of a base point is unique; the shifted base is the canonical
 representative, which makes line equality plain tuple equality.
 
-``line_blocks`` and ``point_blocks`` list every incidence by id, each
-row already sorted. A point's id is its coordinates read base q with
-x_(k-1) as the top digit; a line's is z * q^(k-1) plus its base digits
-b_1, ..., b_(k-1) read the same way. So:
+``point_blocks`` lists every point's lines by id, and ``line_kernel``
+gives one line's points by id, each row already sorted. A point's id is
+its coordinates read base q with x_(k-1) as the top digit; a line's is
+z * q^(k-1) plus its base digits b_1, ..., b_(k-1) read the same way.
+So:
 
 - for z = 0 the line is {(y, b_1, ..., b_(k-1))}: listing y lists its
-  points in id order, and the direction's rows are 0, 1, ..., q^k - 1;
+  points in id order, and line b's row is q b, ..., q b + q - 1;
 - for z != 0, x_(k-1) takes each value c once on the line, so listing
   c = 0..q-1 lists its points in id order; with w = z^-1 and
   t = b_(k-1) the c-th point has x_i = b_i + (c - t) * w^(k-1-i);
@@ -20,16 +21,20 @@ b_1, ..., b_(k-1) read the same way. So:
   is the top digit of a line id; the direction-z line through x has
   base b_i = x_i - x_0 * z^i.
 
-Each coordinate adds its own term to an id. The kernel packs the q ids
+Each coordinate adds its own term to an id. The kernels pack the q ids
 of a row into the 32-bit fields of one Python int, so a row is a sum of
-one packed term per coordinate, read from a table of q packed terms per
-coordinate, and ``int.to_bytes`` lays it out as the bytes of an
-``array('i')``. The point side packs the q rows of x_0 = 0..q-1 into
-one int, which makes its terms independent of x_0.
+one packed term per coordinate, and ``int.to_bytes`` lays it out as the
+bytes of an ``array('i')``. The point side packs the q rows of
+x_0 = 0..q-1 into one int, which makes its terms independent of x_0,
+and reads them from a table of q packed terms per coordinate. A line's
+term for coordinate i depends on its direction and on one field
+element, so the line kernel makes each term on the first row that
+needs it and keeps it: a search that reads a few rows makes a few
+terms, and no table of all q^2 terms per coordinate is made.
 
-The term tables are read from the field's ``add_rows`` and ``mul_rows``
-a whole row at a time, with ``map(row.__getitem__, ...)``: a difference
-b - s is entry b of the row of -s. Each term is packed once from field
+Terms are read from the field's ``add_rows`` and ``mul_rows`` a whole
+row at a time, with ``map(row.__getitem__, ...)``: a difference b - s
+is entry b of the row of -s. Each term is packed once from field
 elements and then scaled to its digit, so the kernels make a few field
 calls per direction and coordinate, not one per table entry.
 """
@@ -39,7 +44,7 @@ from __future__ import annotations
 import sys
 from array import array
 from itertools import chain
-from typing import Iterable, Iterator, NamedTuple
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from girthforge.errors import SizeLimitError
 from girthforge.gf import Field
@@ -138,36 +143,57 @@ def _sums(start: int, tables: list[list[int]]) -> list[int]:
     return sums
 
 
-def line_blocks(field: Field, k: int) -> Iterator[bytes]:
-    """Each line's q point ids, ascending, in line-id order, as the bytes
-    of an array('i'): one block per direction z and top base digit t, so
-    a block holds 1/q^2 of the side."""
+def line_kernel(field: Field, k: int) -> Callable[[int], array]:
+    """The function that maps a local line id to its row: the line's q
+    point ids, ascending, as a fresh array('i'), computed from the
+    algebra alone.
+
+    A z = 0 line's row is a range. A z != 0 line's is one packed int,
+    top + the sum over i < k-1 of the term packing s_i + c u_i scaled
+    to digit i, where s_i = b_i - t u_i is entry b_i of the row of
+    t (-u_i). A direction's steps u_i are made on its first line, and
+    each (z, i, s) term on the first row that reads it, so a row costs
+    k - 1 table reads once its terms are made, and no table holds a
+    term no row has read.
+    """
     q = field.q
     add_rows, mul_rows = field.add_rows, field.mul_rows
-    step = q ** (k - 1)
-    for t in range(q):
-        yield array("i", range(t * step, (t + 1) * step)).tobytes()
+    step, inner = q ** (k - 1), q ** (k - 2)
     top = _pack(c * step for c in range(q))
-    width = 4 * q
-    for z in range(1, q):
+    width, order = 4 * q, sys.byteorder
+    # dirs[z] holds, for each coordinate i < k-1 of direction z: -u_i,
+    # the column c u_i, the scale q^i and the terms made so far by s.
+    dirs: list[list[tuple] | None] = [None] * q
+
+    def direction(z: int) -> list[tuple]:
         w = field.inv(z)
         u = [w]
         while len(u) < k - 1:
             u.append(field.mul(u[-1], w))
         u.reverse()  # u[i] = w^(k-1-i), the step of x_i as c steps by 1
-        nu = [field.neg(ui) for ui in u]
-        # terms[i][e] packs e + c u_i for c = 0..q-1, scaled to digit i.
-        terms = [
-            [_pack(map(row.__getitem__, mul_rows[ui])) * q**i for row in add_rows]
-            for i, ui in enumerate(u)
+        coords = dirs[z] = [
+            (field.neg(ui), mul_rows[ui], q**i, [None] * q) for i, ui in enumerate(u)
         ]
-        for t in range(q):
-            # x_i = b_i + (c - t) u_i = (b_i - t u_i) + c u_i, and b_0 = 0;
-            # b_i - t u_i is entry b_i of the row of s_i = t (-u_i).
-            s = list(map(mul_rows[t].__getitem__, nu))
-            tables = [list(map(terms[i].__getitem__, add_rows[s[i]])) for i in range(1, k - 1)]
-            rows = _sums(top + terms[0][s[0]], tables)
-            yield b"".join([row.to_bytes(width, sys.byteorder) for row in rows])
+        return coords
+
+    def row(l: int) -> array:
+        z, b = divmod(l, step)
+        if not z:
+            return array("i", range(q * b, q * b + q))
+        t, rest = divmod(b, inner)
+        rest *= q  # base digits (b_0, ..., b_(k-2)) with b_0 = 0
+        mt = mul_rows[t]
+        packed = top
+        for nu, col, scale, terms in dirs[z] or direction(z):
+            rest, bi = divmod(rest, q)
+            s = add_rows[bi][mt[nu]]
+            term = terms[s]
+            if term is None:
+                term = terms[s] = _pack(map(add_rows[s].__getitem__, col)) * scale
+            packed += term
+        return array("i", packed.to_bytes(width, order))
+
+    return row
 
 
 def point_blocks(field: Field, k: int) -> Iterator[bytes]:

@@ -10,7 +10,7 @@ from pathlib import Path
 from typing import Iterable, Iterator
 
 import girthforge
-from girthforge import verify
+from girthforge import graph, verify
 from girthforge.gf import Field, _pdivmod, _ptrim, make_field
 from girthforge.graph import FORMAT_V1, BiGraph, check_body, point_id, read_header
 from girthforge.lines4 import (
@@ -57,6 +57,25 @@ def count_field_calls(monkeypatch) -> Counter:
 
         monkeypatch.setattr(Field, name, counted)
     return calls
+
+
+def count_line_rows(monkeypatch) -> Counter:
+    """Count, by local line id, every L row that moment.line_kernel
+    computes for a graph built until the monkeypatch is undone."""
+    computed: Counter = Counter()
+    real = graph.line_kernel
+
+    def counted_kernel(field, k):
+        row = real(field, k)
+
+        def counted(l):
+            computed[l] += 1
+            return row(l)
+
+        return counted
+
+    monkeypatch.setattr(graph, "line_kernel", counted_kernel)
+    return computed
 
 
 def record_dfs_roots(monkeypatch) -> list[range]:

@@ -21,11 +21,12 @@ from girthforge.graph import (
     stats,
     to_text,
 )
-from girthforge.moment import MomentLine, enumerate_lines, line_blocks, points_on
-from girthforge.rows import Rows, fill, transpose
+from girthforge.moment import MomentLine, enumerate_lines, line_kernel, point_blocks, points_on
+from girthforge.rows import LazyRows, Rows, fill, transpose
 from helpers import (
     build_from_points,
     count_field_calls,
+    count_line_rows,
     cycle_fixture,
     edges,
     from_edges,
@@ -340,41 +341,112 @@ def test_build_p_side_is_the_set_based_transpose(field, k):
 
 
 @pytest.mark.parametrize("field,k", ROW_CASES, ids=[f"q{f.q}-k{k}" for f, k in ROW_CASES])
-def test_l_side_made_on_first_read_is_the_transpose_of_the_p_side(field, k):
-    # build fills the P side alone; the first read of adjL makes the L
-    # side, equal to the mirror of the P side and to line_blocks' blocks
-    # read in one go, and keeps it.
+def test_l_side_made_on_first_read_is_the_transpose_of_the_p_side(monkeypatch, field, k):
+    # build lays out the P side alone; each L row is computed from the
+    # algebra on its first read and kept. Read one at a time, twice over,
+    # the rows are those of the mirror of the P side and each is computed
+    # once; laid out whole, the side equals that mirror.
+    computed = count_line_rows(monkeypatch)
     g = build(field, k)
-    assert "adjL" not in vars(g)
-    e = g.edge_count()
-    eager = Rows(fill(line_blocks(field, k), e), range(0, e + 1, field.q))
-    assert g.adjL == eager == transpose(g.adjP, g.nL, g.nP)
-    assert vars(g)["adjL"] is g.adjL
+    mirror = transpose(g.adjP, g.nL, g.nP)
+    assert isinstance(g.adjL, LazyRows) and not computed
+    assert [g.adjL[l] for l in range(g.nL)] == list(mirror) == [*map(g.adjL.__getitem__, range(g.nL))]
+    assert sorted(computed) == list(range(g.nL)) and set(computed.values()) == {1}
+    assert g.adjL == mirror and mirror == g.adjL and g.adjL.flat == mirror.flat
+    assert repr(g.adjL) == repr(mirror)
+
+
+@pytest.mark.parametrize("field,k", ROW_CASES, ids=[f"q{f.q}-k{k}" for f, k in ROW_CASES])
+def test_line_kernel_lists_each_line_as_points_on_does(field, k):
+    # points_on enumerates each line by its parameter y, independently of
+    # the kernel's packed terms.
+    row = line_kernel(field, k)
+    for lid, line in enumerate(enumerate_lines(field, k)):
+        expected = sorted(point_id(field, pt) for pt in points_on(field, line))
+        assert row(lid).tolist() == expected, line
+
+
+@pytest.mark.parametrize(
+    "p,m,k",
+    [(2, 1, 8), (3, 1, 8), (2, 2, 8), (2, 3, 7), (3, 2, 6), (2, 4, 5), (5, 2, 4), (2, 5, 4),
+     (7, 2, 3), (2, 6, 3), (2, 8, 2), (13, 1, 5)],
+)
+def test_line_kernel_matches_points_on_on_sampled_lines(p, m, k):
+    # Extension fields and k up to 8, up to the edge cap: lines of
+    # direction 0, 1, q-1 and random directions, with random bases, read
+    # twice from one kernel so that rows made from kept terms are checked.
+    field = make_field(p, m)
+    q, rng = field.q, random.Random(p * 1000 + m * 10 + k)
+    row = line_kernel(field, k)
+    lines = [
+        MomentLine(z, (0, *(rng.randrange(q) for _ in range(k - 1))))
+        for z in [0, 0, 1, q - 1, *(rng.randrange(q) for _ in range(12))]
+    ]
+    for line in lines + lines:
+        expected = sorted(point_id(field, pt) for pt in points_on(field, line))
+        assert row(line_id(field, line)).tolist() == expected, line
+
+
+def test_l_rows_past_either_end_read_as_rows_reads_them():
+    # Ids at or past nL raise IndexError; negative ids count from the
+    # end down to -nL and raise below it, on the computed side as on the
+    # laid-out one, and through neighbors.
+    g = build(F3, 3)
+    n, laid_out = g.nL, transpose(g.adjP, g.nL, g.nP)
+    for i in (-n - 7, -n - 2, -n - 1, -n, -n + 1, -1, 0, 1, n - 1, n, n + 1, 3 * n):
+        for side in (g.adjL, laid_out):
+            if -n <= i < n:
+                assert side[i] == laid_out[i % n] == g.adjL[i % n], i
+            else:
+                with pytest.raises(IndexError):
+                    side[i]
+    for v in (g.nP + n, g.nP + n + 1):
+        with pytest.raises(IndexError):
+            g.neighbors(v)
+    assert len(g.adjL) == len(laid_out) == n
+
+
+def test_changing_a_returned_row_never_changes_the_graph():
+    g = build(F4, 3)
+    h = BiGraph(g.nP, g.nL, g.adjP, transpose(g.adjP, g.nL, g.nP), g.meta)
+    for graph_ in (g, h):
+        before = [graph_.adjL[l] for l in range(graph_.nL)]
+        for l in (0, 5, graph_.nL - 1):
+            for row in (graph_.adjL[l], graph_.adjL[l - graph_.nL], graph_.neighbors(graph_.nP + l)):
+                row[0] = -1
+                row.append(7)
+        for row in graph_.adjL:
+            row.pop()
+        assert [graph_.adjL[l] for l in range(graph_.nL)] == before == list(graph_.adjL)
+    assert g == h
 
 
 def test_fill_refuses_blocks_that_stop_short():
-    # A built graph's L side is filled from a generator that can be read
-    # once; read again, as by a shallow copy of the graph, it gives no
+    # point_blocks is a generator, read once: read again it gives no
     # block, and fill raises rather than leave an array of zeros.
-    blocks = line_blocks(F3, 2)
-    assert fill(blocks, 27) == build(F3, 2).adjL.flat
+    blocks = point_blocks(F3, 2)
+    assert fill(blocks, 27) == build(F3, 2).adjP.flat
     with pytest.raises(ValueError, match="blocks filled 0 of 108 bytes"):
         fill(blocks, 27)
     with pytest.raises(ValueError, match="blocks filled 4 of 8 bytes"):
         fill([bytes(4)], 2)
 
 
-def test_l_side_cannot_be_changed_before_or_after_it_is_made():
+def test_l_side_cannot_be_changed_before_or_after_it_is_made(monkeypatch):
+    # The L side is a plain attribute from build on, and stays the same
+    # object however many of its rows have been computed.
+    computed = count_line_rows(monkeypatch)
     g = build(F3, 3)
+    side = vars(g)["adjL"]
     for made in (False, True):
-        assert ("adjL" in vars(g)) is made
+        assert bool(computed) is made
         with pytest.raises(AttributeError, match="cannot be changed"):
             g.adjL = g.adjP
         with pytest.raises(AttributeError, match="cannot be changed"):
             del g.adjL
-        assert ("adjL" in vars(g)) is made
-        side = g.adjL
-    assert g.adjL is side and g.is_moment_graph
+        assert g.adjL is side
+        g.neighbors(g.nP + 13)
+    assert vars(g)["adjL"] is side and g.is_moment_graph
     # A graph not made by build holds the L side it was given.
     h = BiGraph(g.nP, g.nL, g.adjP, side, g.meta)
     assert vars(h)["adjL"] is side and h == g
@@ -662,9 +734,10 @@ def test_parse_scans_the_body_only_off_the_export(monkeypatch):
 
 def test_parse_makes_no_l_side_to_compare_a_text(monkeypatch):
     # A moment-sized text is compared with the export of the graph parse
-    # builds, which reads the P side alone: that graph's L side is never
-    # made, whether the text is its export or stops the comparison in the
-    # first, a middle or the last block of P rows.
+    # builds, which reads the P side alone: no L row of that graph is
+    # computed, whether the text is its export or stops the comparison in
+    # the first, a middle or the last block of P rows. A text off the
+    # moment graph gets an L side laid out by the transpose.
     built = []
     real = graph.build
 
@@ -674,13 +747,14 @@ def test_parse_makes_no_l_side_to_compare_a_text(monkeypatch):
 
     monkeypatch.setattr(graph, "build", recorded)
     text = to_text(real(F4, 3))
+    computed = count_line_rows(monkeypatch)
     g = parse(text)
-    assert built == [g] and "adjL" not in vars(g)
+    assert built == [g] and isinstance(g.adjL, LazyRows)
     for where in ("first", "middle", "last"):
         h = parse(_off_moment(text, F4, 3, "edit", where)[0])
-        assert not h.is_moment_graph and "adjL" in vars(h)
-        assert h is not built[-1] and "adjL" not in vars(built[-1])
-    assert len(built) == 4
+        assert not h.is_moment_graph and isinstance(h.adjL, Rows)
+        assert h is not built[-1] and isinstance(built[-1].adjL, LazyRows)
+    assert len(built) == 4 and not computed
 
 
 class _Transposed(Exception):
@@ -952,8 +1026,9 @@ def test_parse_allocates_a_small_multiple_of_its_text(dropped):
 
 
 def test_built_graph_keeps_two_int32_arrays():
-    # GF(16), k=4: 2^20 edges, 65 536 vertices a side. Each side is one
-    # array of 4-byte ids and a range; tuple rows kept 36 bytes an entry.
+    # GF(16), k=4: 2^20 edges, 65 536 vertices a side. The P side is one
+    # array of 4-byte ids and a range, and the L side holds no row until
+    # one is read; tuple rows kept 36 bytes an entry.
     field = make_field(2, 4)
     field.add_rows, field.mul_rows  # the field's tables and rows are built outside the count
     g, peak, kept = _traced(lambda: build(field, 4))
@@ -1014,10 +1089,10 @@ def test_export_never_holds_the_whole_text():
     assert peak < len(GF16_K3_TEXT)
 
 
-def test_export_of_a_built_graph_keeps_one_int32_array():
+def test_export_of_a_built_graph_keeps_one_int32_array(monkeypatch):
     # GF(16), k=4: 2^20 edges. build fills the P side, and export and
     # to_text read it alone, so the graph keeps one array of 4-byte ids
-    # and a range; the L side is not made.
+    # and a range; no L row is computed.
     field = make_field(2, 4)
     field.add_rows, field.mul_rows  # the field's tables and rows are built outside the count
 
@@ -1027,7 +1102,8 @@ def test_export_of_a_built_graph_keeps_one_int32_array():
         to_text(g)
         return g
 
+    computed = count_line_rows(monkeypatch)
     g, _, kept = _traced(built_and_written)
     e, n = g.edge_count(), g.nP + g.nL
-    assert e == 1 << 20 and "adjL" not in vars(g)
+    assert e == 1 << 20 and not computed
     assert kept <= 4 * e + n

@@ -8,7 +8,6 @@ from girthforge.gf import make_field
 from girthforge.moment import (
     MomentLine,
     enumerate_lines,
-    line_blocks,
     line_through,
     moment_vector,
     points_on,
@@ -166,13 +165,3 @@ def test_enumerate_lines_size_cap():
     f32 = make_field(2, 5)
     with pytest.raises(SizeLimitError):
         enumerate_lines(f32, 5)
-
-
-@pytest.mark.parametrize("field,k", [(F2, 2), (F3, 3), (F4, 4), (F5, 2), (F7, 3)], ids=repr)
-def test_line_blocks_come_in_q_squared_equal_blocks(field, k):
-    # A built graph's L side is made after its P side, so its blocks add
-    # to a peak that already holds the P side: each block is 1/q^2 of
-    # the side, one per direction z and top base digit t.
-    q = field.q
-    sizes = [len(block) for block in line_blocks(field, k)]
-    assert sizes == [4 * q ** (k - 1)] * q**2

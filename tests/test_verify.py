@@ -10,10 +10,10 @@ import pytest
 from girthforge import graph, verify
 from girthforge.errors import SizeLimitError
 from girthforge.gf import make_field
-from girthforge.graph import BiGraph, build, parse, to_text
+from girthforge.graph import BiGraph, build, parse, stats, to_text
 from girthforge.moment import line_through, points_on
 from girthforge.oracle import NAIVE_LEN_CAP, NAIVE_VERTEX_CAP, naive_cycle_count
-from girthforge.rows import Rows
+from girthforge.rows import Rows, transpose
 from girthforge.verify import (
     BIG_CYCLE_VERTEX_CAP,
     construction_report,
@@ -28,6 +28,7 @@ from girthforge.verify import (
 )
 from helpers import (
     brute_force_simple_paths,
+    count_line_rows,
     cycle_fixture,
     edges,
     from_edges,
@@ -586,34 +587,47 @@ def test_rooted_find_c4_matches_full_scan(g, certified):
 
 
 def test_searches_on_a_built_graph_make_no_line_blocks(monkeypatch):
-    # The mark is build's: no report or search on a built graph makes the
-    # moment lines again, and parse of its export makes them once, in the
-    # build it compares the text with.
+    # No report or search on a built graph lays out its L side: each
+    # computes the L rows it reads, each once however often it reads it,
+    # and no other. find_c4 and the report read the q lines through P
+    # vertex 0; the path maximum and the report's C10 count, at k = 5,
+    # also read every line that meets one of them. stats reads degrees
+    # alone, and parse of an export computes no L row in the build it
+    # compares the text with.
+    computed = count_line_rows(monkeypatch)
+    cases = [
+        (find_c4, make_field(5, 2), 3, 25),
+        (construction_report, F7, 4, 7),
+        (max_l4_paths, F7, 4, 259),
+        (construction_report, F4, 5, 40),
+        (construction_report, F3, 4, 3),
+        (max_l4_paths, F3, 4, 15),
+    ]
+    for search, field, k, rows in cases:
+        g = build(field, k)
+        mirror = transpose(g.adjP, g.nL, g.nP)
+        read = {l - g.nP for l in g.adjP[0]}
+        if search is max_l4_paths or k >= 5:
+            read |= {l - g.nP for l1 in g.adjP[0] for p in mirror[l1 - g.nP] for l in g.adjP[p]}
+        computed.clear()
+        search(g)
+        assert sum(computed.values()) == len(computed) == len(read) == rows, (search, field, k)
+        assert set(computed) == read
+    computed.clear()
     g = build(F3, 4)
-    text = to_text(g)
-    line_blocks = graph.line_blocks
-
-    def refuse(field, k):
-        raise AssertionError(f"line_blocks({field}, {k}) after build")
-
-    monkeypatch.setattr(graph, "line_blocks", refuse)
-    assert construction_report(g).passed
-    assert max_l4_paths(g)[0] == 2
-    assert find_c4(g) is None
-    calls = []
-    monkeypatch.setattr(
-        graph, "line_blocks", lambda field, k: calls.append((field, k)) or line_blocks(field, k)
-    )
-    h = parse(text)
-    assert h == g and h.is_moment_graph and calls == [(F3, 4)]
+    h = parse(to_text(g))
+    assert stats(g) == stats(h) and h.is_moment_graph and not computed
+    assert h == g
 
 
 @pytest.mark.parametrize(
     "field,k", [(F2, 5), (F3, 2), (F3, 3), (F4, 3), (F3, 4), (F5, 2)], ids=repr
 )
-def test_searches_agree_whether_the_l_side_was_made_before_or_by_them(field, k):
-    # A built graph's L side is made on first read: by the caller here,
-    # before the search, or by the search itself.
+def test_searches_agree_whether_the_l_side_was_made_before_or_by_them(monkeypatch, field, k):
+    # A built graph's L rows are computed on first read: all of them by
+    # the caller here, before the search, or those it reads by the search
+    # itself.
+    computed = count_line_rows(monkeypatch)
     searches = [
         find_c4,
         max_l4_paths,
@@ -623,10 +637,11 @@ def test_searches_agree_whether_the_l_side_was_made_before_or_by_them(field, k):
     ]
     for search in searches:
         before, fresh = build(field, k), build(field, k)
-        before.adjL
-        assert "adjL" not in vars(fresh)
-        assert search(fresh) == search(before)
-        assert "adjL" in vars(fresh)
+        for l in range(before.nL):
+            before.adjL[l]
+        computed.clear()
+        assert search(before) == search(fresh)
+        assert 0 < len(computed) <= before.nL
     assert verify_construction(field, k) == construction_report(before)
 
 
