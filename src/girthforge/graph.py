@@ -12,9 +12,9 @@ laid end to end, plus the row starts, a range on every built or parsed
 moment graph. ``build`` fills the P side from ``moment.point_blocks``,
 which writes the rows already sorted, one block at a time into an
 array allocated once. Its L side is a ``rows.LazyRows`` over
-``moment.line_kernel``: each L row is computed from the algebra the
-first time it is read and then kept, so a search keeps only the rows
-it reads, and the side is laid out whole only for ``flat``, iteration,
+``moment.line_kernel``: each L row is computed from the algebra each
+time it is read and held by nothing but its reader, so a search holds
+no L side, and the side is laid out whole only for ``flat``, iteration,
 equality and ``repr``. Its degrees are known without a row, so
 ``stats`` computes none. The export reads the P side alone, so a graph
 that is built and exported computes no L row.
@@ -72,7 +72,7 @@ class BiGraph:
     parse makes one from the other. meta is (field, k) for built
     incidence graphs and None for ad-hoc graphs. The constructor is
     given both sides; a graph from build is given its P side laid out
-    and an L side whose rows are computed as they are read.
+    and an L side whose rows are computed on every read.
 
     is_moment_graph is True only on the graphs build returns, whose rows
     are the moment graph's by construction. The constructor leaves it
@@ -87,7 +87,7 @@ class BiGraph:
         nP: int,
         nL: int,
         adjP: Rows,
-        adjL: Rows | LazyRows,
+        adjL: Rows,
         meta: tuple[Field, int] | None = None,
     ) -> None:
         vars(self).update(nP=nP, nL=nL, adjP=adjP, adjL=adjL, meta=meta, is_moment_graph=False)
@@ -138,7 +138,7 @@ def line_id(field: Field, line: MomentLine) -> int:
 def build(field: Field, k: int) -> BiGraph:
     """The incidence graph between GF(q)^k and its moment lines, marked
     as the moment graph. The P side is filled here from point_blocks;
-    each L row is computed by line_kernel when it is first read, so a
+    each L row is computed by line_kernel whenever it is read, so a
     graph that is only exported or counted computes no L row."""
     check_lines(field, k)
     q = field.q

@@ -8,11 +8,12 @@ them, so equal rows compare equal and one row type serves both.
 ``transpose`` makes the mirror side of a side with one counting pass;
 ``graph.parse`` fills the L side of a text it reads row by row with it.
 
-``LazyRows`` holds a side of rows of one length that a function
-computes, each on its first read and then kept, so a reader that
-reads a few rows never lays out the side. It reads as ``Rows`` does:
-row ids past either end raise ``IndexError``, negative ones count from
-the end, and a returned row is the caller's own copy.
+``LazyRows`` is a ``Rows`` of one row length whose rows a function
+computes on every read and nothing holds, so a reader that reads a few
+rows never lays out the side; its ``flat`` lays out every row afresh.
+It reads ids as ``Rows`` does: ids past either end raise
+``IndexError``, negative ones count from the end, and a returned row is
+the caller's own array.
 """
 
 from __future__ import annotations
@@ -83,53 +84,31 @@ class Rows:
         return map(operator.sub, islice(s, 1, None), s)
 
 
-class LazyRows:
-    """n rows of length d, row i computed as row(i) on its first read and kept.
+class LazyRows(Rows):
+    """n rows of length d, row i computed as row(i) on every read.
 
-    starts and degrees() need no row. Indexing reads a kept row or
-    computes it, and returns a copy, so changing it never changes the
-    side; ids are checked as Rows checks them. flat, iteration, == and
-    repr lay out every row afresh from row() and keep none of them; they
-    read as those of the equal Rows.
+    starts, len and degrees() need no row. Indexing checks ids as Rows
+    does and returns the fresh row that row(i) computes. flat lays out
+    every row afresh and is not kept, so iteration, == and repr, which
+    Rows reads through flat, read as those of the equal Rows.
     """
 
-    __slots__ = ("_row", "_kept", "starts")
+    __slots__ = ("_row",)
 
     def __init__(self, row: Callable[[int], array], n: int, d: int) -> None:
         self._row = row
-        self._kept: dict[int, array] = {}
         self.starts = range(0, n * d + 1, d)
-
-    def __len__(self) -> int:
-        return len(self.starts) - 1
 
     def __getitem__(self, i: int) -> array:
         if i < 0:
             i += len(self)
-        row = self._kept.get(i)
-        if row is None:
-            if not 0 <= i < len(self):
-                raise IndexError("row index out of range")
-            row = self._kept[i] = self._row(i)
-        return row[:]
-
-    def __iter__(self) -> Iterator[array]:
-        return map(self._row, range(len(self)))
+        if not 0 <= i < len(self):
+            raise IndexError("row index out of range")
+        return self._row(i)
 
     @property
     def flat(self) -> array:
-        return fill(map(array.tobytes, self), self.starts[-1])
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, (Rows, LazyRows)):
-            return NotImplemented
-        return self.starts == other.starts and self.flat == other.flat
-
-    def __repr__(self) -> str:
-        return f"Rows({[row.tolist() for row in self]})"
-
-    def degrees(self) -> Iterator[int]:
-        return repeat(self.starts.step, len(self))
+        return fill(map(array.tobytes, map(self._row, range(len(self)))), self.starts[-1])
 
 
 def fill(blocks: Iterable[bytes], entries: int) -> array:

@@ -13,7 +13,7 @@ from girthforge.gf import make_field
 from girthforge.graph import BiGraph, build, parse, stats, to_text
 from girthforge.moment import line_through, points_on
 from girthforge.oracle import NAIVE_LEN_CAP, NAIVE_VERTEX_CAP, naive_cycle_count
-from girthforge.rows import Rows, transpose
+from girthforge.rows import LazyRows, Rows, transpose
 from girthforge.verify import (
     BIG_CYCLE_VERTEX_CAP,
     construction_report,
@@ -588,22 +588,24 @@ def test_rooted_find_c4_matches_full_scan(g, certified):
 
 def test_searches_on_a_built_graph_make_no_line_blocks(monkeypatch):
     # No report or search on a built graph lays out its L side: each
-    # computes the L rows it reads, each once however often it reads it,
-    # and no other. find_c4 and the report read the q lines through P
-    # vertex 0; the path maximum and the report's C10 count, at k = 5,
-    # also read every line that meets one of them. stats reads degrees
+    # computes the L rows it reads, one computation a read, and no other.
+    # find_c4 and the report read the q lines through P vertex 0; the
+    # path maximum and the report's C10 count, at k = 5, also read every
+    # line that meets one of them. The report's C4 check and its C6 count
+    # each read the q lines through P vertex 0, so it computes them twice,
+    # and the C10 count reads 4 of its lines twice. stats reads degrees
     # alone, and parse of an export computes no L row in the build it
     # compares the text with.
     computed = count_line_rows(monkeypatch)
     cases = [
-        (find_c4, make_field(5, 2), 3, 25),
-        (construction_report, F7, 4, 7),
-        (max_l4_paths, F7, 4, 259),
-        (construction_report, F4, 5, 40),
-        (construction_report, F3, 4, 3),
-        (max_l4_paths, F3, 4, 15),
+        (find_c4, make_field(5, 2), 3, 25, 25),
+        (construction_report, F7, 4, 7, 14),
+        (max_l4_paths, F7, 4, 259, 259),
+        (construction_report, F4, 5, 40, 52),
+        (construction_report, F3, 4, 3, 6),
+        (max_l4_paths, F3, 4, 15, 15),
     ]
-    for search, field, k, rows in cases:
+    for search, field, k, rows, reads in cases:
         g = build(field, k)
         mirror = transpose(g.adjP, g.nL, g.nP)
         read = {l - g.nP for l in g.adjP[0]}
@@ -611,8 +613,8 @@ def test_searches_on_a_built_graph_make_no_line_blocks(monkeypatch):
             read |= {l - g.nP for l1 in g.adjP[0] for p in mirror[l1 - g.nP] for l in g.adjP[p]}
         computed.clear()
         search(g)
-        assert sum(computed.values()) == len(computed) == len(read) == rows, (search, field, k)
-        assert set(computed) == read
+        assert len(computed) == len(read) == rows, (search, field, k)
+        assert sum(computed.values()) == reads and set(computed) == read
     computed.clear()
     g = build(F3, 4)
     h = parse(to_text(g))
@@ -624,9 +626,10 @@ def test_searches_on_a_built_graph_make_no_line_blocks(monkeypatch):
     "field,k", [(F2, 5), (F3, 2), (F3, 3), (F4, 3), (F3, 4), (F5, 2)], ids=repr
 )
 def test_searches_agree_whether_the_l_side_was_made_before_or_by_them(monkeypatch, field, k):
-    # A built graph's L rows are computed on first read: all of them by
-    # the caller here, before the search, or those it reads by the search
-    # itself.
+    # A built graph's L rows are computed by the search itself, on each
+    # read. The same built graph, still marked, with its L side laid out
+    # before the search as the transpose of its P side, computes none and
+    # gives the same answers.
     computed = count_line_rows(monkeypatch)
     searches = [
         find_c4,
@@ -637,11 +640,12 @@ def test_searches_agree_whether_the_l_side_was_made_before_or_by_them(monkeypatc
     ]
     for search in searches:
         before, fresh = build(field, k), build(field, k)
-        for l in range(before.nL):
-            before.adjL[l]
+        vars(before)["adjL"] = transpose(before.adjP, before.nL, before.nP)
+        assert before.is_moment_graph and not isinstance(before.adjL, LazyRows)
         computed.clear()
-        assert search(before) == search(fresh)
-        assert 0 < len(computed) <= before.nL
+        answer = search(before)
+        assert not computed
+        assert search(fresh) == answer and 0 < len(computed) <= fresh.nL
     assert verify_construction(field, k) == construction_report(before)
 
 
