@@ -11,7 +11,7 @@ import argparse
 import sys
 from functools import cache
 
-from girthforge.gf import make_field
+from girthforge.gf import Field, make_field
 from girthforge.graph import build, export, stats
 from girthforge.lines4 import (
     genline_count,
@@ -38,22 +38,21 @@ def poly_str(modulus: tuple[int, ...]) -> str:
     return "+".join(terms) if terms else "0"
 
 
-def _cmd_field_info(args: argparse.Namespace) -> int:
-    f = make_field(args.p, args.m)
+def _cmd_field_info(f: Field, args: argparse.Namespace) -> int:
     print(f"p={f.p} m={f.m} q={f.q} modulus={poly_str(f.modulus)}")
     return 0
 
 
-def _cmd_generate(args: argparse.Namespace) -> int:
-    g = build(make_field(args.p, args.m), args.k)
+def _cmd_generate(f: Field, args: argparse.Namespace) -> int:
+    g = build(f, args.k)
     with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
         export(g, fh, args.format)
     print(f"wrote {args.out} nP={g.nP} nL={g.nL} e={g.edge_count()}")
     return 0
 
 
-def _cmd_stats(args: argparse.Namespace) -> int:
-    s = stats(build(make_field(args.p, args.m), args.k))
+def _cmd_stats(f: Field, args: argparse.Namespace) -> int:
+    s = stats(build(f, args.k))
     reg = "true" if s.is_regular else "false"
     print(
         f"nP={s.nP} nL={s.nL} edges={s.edges} "
@@ -62,14 +61,14 @@ def _cmd_stats(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_verify(args: argparse.Namespace) -> int:
-    report = verify_construction(make_field(args.p, args.m), args.k)
+def _cmd_verify(f: Field, args: argparse.Namespace) -> int:
+    report = verify_construction(f, args.k)
     sys.stdout.write(report.render())
     return 0 if report.passed else 1
 
 
-def _cmd_theta(args: argparse.Namespace) -> int:
-    count, pair = max_l4_paths(build(make_field(args.p, args.m), args.k))
+def _cmd_theta(f: Field, args: argparse.Namespace) -> int:
+    count, pair = max_l4_paths(build(f, args.k))
     where = f"{pair[0]},{pair[1]}" if pair else "none"
     print(f"max-l4-paths {count} pair={where}")
     ok = count <= 2
@@ -77,8 +76,7 @@ def _cmd_theta(args: argparse.Namespace) -> int:
     return 0 if ok else 1
 
 
-def _cmd_conjecture_check(args: argparse.Namespace) -> int:
-    f = make_field(args.p, args.m)
+def _cmd_conjecture_check(f: Field, args: argparse.Namespace) -> int:
     witness = has_line_c4(f, moment_seed(f))
     if witness is None:
         print("line-c4 none")
@@ -91,8 +89,7 @@ def _cmd_conjecture_check(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_conjecture_greedy(args: argparse.Namespace) -> int:
-    f = make_field(args.p, args.m)
+def _cmd_conjecture_greedy(f: Field, args: argparse.Namespace) -> int:
     family = greedy_c4free(f, args.seed)
     print(f"greedy-family size={len(family)} total={genline_count(f)}")
     if args.out:
@@ -149,7 +146,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return args.handler(args)
+        return args.handler(make_field(args.p, args.m), args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -6,6 +6,9 @@ term first, so index 0 is the additive identity and index 1 the
 multiplicative identity. Prime fields (m = 1) reduce to ordinary
 arithmetic mod p.
 
+base_q_digits and base_q_value are the package's one base-q codec: the
+tables read an element's coefficients with it, graph and lines4 ids.
+
 The reducing modulus is chosen deterministically: monic degree-m
 polynomials are scanned in lexicographic order of their coefficient
 tuple (c_0, ..., c_{m-1}) and the first irreducible one wins, so equal
@@ -56,6 +59,23 @@ def is_prime(n: int) -> bool:
             return False
         f += 2
     return True
+
+
+def base_q_digits(v: int, q: int, n: int) -> tuple[int, ...]:
+    """The n base-q digits of v, least significant first."""
+    digits = []
+    for _ in range(n):
+        v, d = divmod(v, q)
+        digits.append(d)
+    return tuple(digits)
+
+
+def base_q_value(digits: tuple[int, ...] | list[int], q: int) -> int:
+    """The int whose base-q digits, least significant first, are digits."""
+    v = 0
+    for d in reversed(digits):
+        v = v * q + d
+    return v
 
 
 # -- polynomial helpers over GF(p) ------------------------------------------
@@ -115,19 +135,6 @@ def _build_tables(p: int, m: int, modulus: tuple[int, ...]) -> _Tables:
     """
     q = p**m
 
-    def digits(a: int) -> list[int]:
-        out = []
-        for _ in range(m):
-            out.append(a % p)
-            a //= p
-        return out
-
-    def index(coeffs: list[int]) -> int:
-        v = 0
-        for c in reversed(coeffs):
-            v = v * p + c
-        return v
-
     def pmul(ca: list[int], cb: list[int]) -> list[int]:
         prod = [0] * (2 * m - 1)
         for i, x in enumerate(ca):
@@ -145,9 +152,9 @@ def _build_tables(p: int, m: int, modulus: tuple[int, ...]) -> _Tables:
     # The first g whose powers return to 1 only after q - 1 steps generates
     # the nonzero elements; a shorter period ends its walk early.
     for g in range(2, q):
-        cg = digits(g)
+        cg = base_q_digits(g, p, m)
         exp, x = [1], cg
-        while (e := index(x)) != 1:
+        while (e := base_q_value(x, p)) != 1:
             exp.append(e)
             x = pmul(cg, x)
         if len(exp) == q - 1:

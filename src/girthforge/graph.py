@@ -54,7 +54,7 @@ from itertools import chain, islice, repeat
 from typing import IO, Iterator, NamedTuple
 
 from girthforge.errors import refuse_change
-from girthforge.gf import Field, make_field
+from girthforge.gf import Field, base_q_value, make_field
 from girthforge.moment import MomentLine, Point, check_lines, line_kernel, point_blocks
 from girthforge.rows import LazyRows, Rows, fill, transpose
 
@@ -122,10 +122,7 @@ class GraphStats(NamedTuple):
 
 
 def point_id(field: Field, pt: Point) -> int:
-    v = 0
-    for c in reversed(pt):
-        v = v * field.q + c
-    return v
+    return base_q_value(pt, field.q)
 
 
 def line_id(field: Field, line: MomentLine) -> int:

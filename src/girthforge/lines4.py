@@ -15,13 +15,15 @@ of a family without solving a system per pair.
 A "C4 of lines" is four distinct lines whose consecutive pairs meet in
 four pairwise distinct points; equivalently an 8-cycle in the incidence
 graph between the lines and their multi-line points. The detector
-reads those points and both sides of that graph off the index, and
-takes the first 8-cycle there from ``verify.first_cycle``, which meets
-half-paths to find the least point that is the minimum of an 8-cycle
-and runs the cycle DFS from that point alone. The greedy search keeps,
-as int bitsets over its members, the members through each point and
-the members meeting each member; a candidate closes a C4 when one AND
-of those bitsets per (hit, neighbour) pair is nonzero.
+reads those points and the point side of that graph off the index,
+takes the line side as its ``rows.transpose`` and the first 8-cycle
+there from ``verify.first_cycle``, which meets half-paths to find the
+least point that is the minimum of an 8-cycle and runs the cycle DFS
+from that point alone; ``gf.base_q_digits`` decodes its points. The
+greedy search keeps, as int bitsets over its members, the members
+through each point and the members meeting each member; a candidate
+closes a C4 when one AND of those bitsets per (hit, neighbour) pair
+is nonzero.
 """
 
 from __future__ import annotations
@@ -33,15 +35,10 @@ from operator import add
 from typing import IO, Callable, Iterable, NamedTuple
 
 from girthforge.errors import SizeLimitError
-from girthforge.gf import Field, field_order
+from girthforge.gf import Field, base_q_digits, field_order
 from girthforge.graph import BiGraph, check_body, read_header
-from girthforge.moment import (
-    Point,
-    base_q_digits,
-    enumerate_lines,
-    moment_vector,
-)
-from girthforge.rows import Rows
+from girthforge.moment import Point, enumerate_lines, moment_vector
+from girthforge.rows import Rows, transpose
 from girthforge.verify import first_cycle
 
 DIM = 4
@@ -178,9 +175,10 @@ def validate_line_c4(field: Field, w: LineC4Witness) -> LineC4Witness:
 def has_line_c4(field: Field, family: Iterable[GenLine]) -> LineC4Witness | None:
     """Find a C4 of lines in the family, or None.
 
-    Builds the incidence graph between the family and every point lying
-    on at least two of its lines, both sides from the index of the lines
-    through each point; a C4 of lines is exactly an 8-cycle there.
+    Builds the incidence graph between the family and every point on at
+    least two of its lines, the point side from the index of the lines
+    through each point and the line side as its rows.transpose; a C4 of
+    lines is exactly an 8-cycle there, its points read by gf.base_q_digits.
     """
     fam = sorted(set(family))
     _check_family_size(len(fam))
@@ -191,14 +189,9 @@ def has_line_c4(field: Field, family: Iterable[GenLine]) -> LineC4Witness | None
             through[pt].append(i)
     pts = sorted(pt for pt, idxs in through.items() if len(idxs) > 1)
     n = len(pts)
-    # Points in ascending order keep each line's row of point ids sorted.
-    rows: list[list[int]] = [[] for _ in fam]
-    for pi, pt in enumerate(pts):
-        for li in through[pt]:
-            rows[li].append(pi)
     # through[pt] lists the lines through pt in ascending order.
     adj_p = Rows.of([n + li for li in through[pt]] for pt in pts)
-    g = BiGraph(n, len(fam), adj_p, Rows.of(rows))
+    g = BiGraph(n, len(fam), adj_p, transpose(adj_p, len(fam), n))
     cycle = first_cycle(g, 8)
     if cycle is None:
         return None

@@ -47,14 +47,14 @@ from itertools import chain
 from typing import Callable, Iterable, Iterator, NamedTuple
 
 from girthforge.errors import SizeLimitError
-from girthforge.gf import Field
+from girthforge.gf import Field, base_q_digits
 
 Point = tuple[int, ...]
 
 K_MIN = 2
 K_MAX = 8
-# The q^(k+1) edges of a graph set its memory: 8 bytes an edge, its two
-# sides as int32 arrays, or 256 MiB at the cap.
+# The q^(k+1) edges of a graph set its memory: its P side is an int32
+# array, 4 bytes an edge, or 128 MiB at the cap.
 EDGE_CAP = 1 << 25
 
 
@@ -63,15 +63,6 @@ class MomentLine(NamedTuple):
 
     z: int
     base: Point
-
-
-def base_q_digits(v: int, q: int, n: int) -> Point:
-    """The n base-q digits of v, least significant first."""
-    digits = []
-    for _ in range(n):
-        v, d = divmod(v, q)
-        digits.append(d)
-    return tuple(digits)
 
 
 def check_k(k: int) -> None:
@@ -166,11 +157,8 @@ def line_kernel(field: Field, k: int) -> Callable[[int], array]:
     dirs: list[list[tuple] | None] = [None] * q
 
     def direction(z: int) -> list[tuple]:
-        w = field.inv(z)
-        u = [w]
-        while len(u) < k - 1:
-            u.append(field.mul(u[-1], w))
-        u.reverse()  # u[i] = w^(k-1-i), the step of x_i as c steps by 1
+        # u[i] = w^(k-1-i) for w = 1/z, the step of x_i as c steps by 1
+        u = moment_vector(field, field.inv(z), k)[:0:-1]
         coords = dirs[z] = [
             (field.neg(ui), mul_rows[ui], q**i, [None] * q) for i, ui in enumerate(u)
         ]
@@ -208,11 +196,12 @@ def point_blocks(field: Field, k: int) -> Iterator[bytes]:
     add_rows, mul_rows = field.add_rows, field.mul_rows
     base = _pack(list(range(n, 2 * n, q ** (k - 1))) * q)
     ny = [field.neg(y) for y in range(q)]
-    zpow, prods = list(range(q)), []  # zpow[z] = z^i for i = 1, 2, ...
-    for _ in range(1, k):
-        # -y z^i for each (y, z): c - y z^i is its entry in the row of c.
-        prods.append(list(chain.from_iterable(map(mul_rows[y].__getitem__, zpow) for y in ny)))
-        zpow = [mul_rows[a][z] for z, a in enumerate(zpow)]
+    # powers[i][z] = z^i; c - y z^i is entry -y z^i of the row of c.
+    powers = list(zip(*(moment_vector(field, z, k) for z in range(q))))
+    prods = [
+        list(chain.from_iterable(map(mul_rows[y].__getitem__, zpow) for y in ny))
+        for zpow in powers[1:]
+    ]
 
     def term(i: int, c: int) -> int:
         return _pack(map(add_rows[c].__getitem__, prods[i - 1])) * q ** (i - 1)

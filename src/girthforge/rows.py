@@ -5,8 +5,9 @@ between its start and the next row's. When every row has the same
 length d the starts are ``range(0, E + 1, d)``, which costs nothing to
 hold; otherwise they are an array of offsets. ``Rows`` picks between
 them, so equal rows compare equal and one row type serves both.
-``transpose`` makes the mirror side of a side with one counting pass;
-``graph.parse`` fills the L side of a text it reads row by row with it.
+``transpose`` makes the mirror side of a side with one counting pass,
+for the texts ``graph.parse`` reads row by row and the line-point graph
+of ``lines4.has_line_c4``; no other code makes a mirror side.
 
 ``LazyRows`` is a ``Rows`` of one row length whose rows a function
 computes on every read and nothing holds, so a reader that reads a few
@@ -136,7 +137,7 @@ def transpose(rows: Rows, n: int, first: int) -> Rows:
     ends = array("i", accumulate((counts[v] for v in range(first, first + n)), initial=0))
     out = array("i", [0]) * len(flat)
     # free[v] is the next slot of entry v's mirror row.
-    free = [0] * first + ends[:-1].tolist()
+    free = array("i", [0]) * first + ends[:-1]
     owners = chain.from_iterable(map(repeat, count(), rows.degrees()))
     for i, v in zip(owners, flat):
         j = free[v]

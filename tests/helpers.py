@@ -11,7 +11,7 @@ from typing import Iterable, Iterator
 
 import girthforge
 from girthforge import graph, verify
-from girthforge.gf import Field, _pdivmod, _ptrim, make_field
+from girthforge.gf import Field, _pdivmod, _ptrim, base_q_digits, make_field
 from girthforge.graph import FORMAT_V1, BiGraph, check_body, point_id, read_header
 from girthforge.lines4 import (
     DIM,
@@ -24,7 +24,6 @@ from girthforge.lines4 import (
 from girthforge.moment import (
     MomentLine,
     Point,
-    base_q_digits,
     check_k,
     check_lines,
     enumerate_lines,

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from girthforge import gf
 from girthforge.errors import SizeLimitError
-from girthforge.gf import Field, is_prime, make_field
+from girthforge.gf import Field, base_q_digits, base_q_value, is_prime, make_field
 from helpers import PolyField, count_field_calls, field_pow
 
 PRIME_POWERS_81 = [
@@ -262,6 +262,14 @@ def test_tables_are_built_lazily_once(monkeypatch):
         f7.neg(a)
         f7.inv(a)
     assert len(builds) == 1
+
+
+@given(st.integers(2, 1 << 20), st.integers(0, 8), st.data())
+def test_base_q_codec_round_trips(q, n, data):
+    v = data.draw(st.integers(0, q**n - 1))
+    digits = base_q_digits(v, q, n)
+    assert len(digits) == n and all(0 <= d < q for d in digits)
+    assert base_q_value(digits, q) == base_q_value(list(digits), q) == v
 
 
 class _Hung(BaseException):
